@@ -6,9 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dynamics import _refined_peak
 from .evolution import (
     HermitianOperator,
-    l1_distance,
     limiting_distribution,
     time_average_distribution,
     uniform_state,
@@ -46,7 +46,7 @@ def eigenvector_centrality(g: Graph) -> np.ndarray:
         raise ValueError("eigenvector centrality requires a connected graph")
     h = HermitianOperator.from_graph(g)
     w, v = h.spectral_decompose()
-    vec = np.real(v[:, -1])
+    vec = v[:, -1]
     if vec.sum() < 0:
         vec = -vec
     if vec.min() < -1e-9:
@@ -64,16 +64,15 @@ def qw_centrality(base: Graph, kind: ParticleKind = BOSON, t_final: float = 1000
     eigenvector centrality of the extended graph. ``use_limiting`` replaces
     the finite-horizon average with the exact spectral limit.
     """
-    basis, h_ext = build_extended_hamiltonian(base, kind)
-    dim = len(basis)
-    if dim > 300:
+    _, ext_g = extended_graph(base, kind)
+    if ext_g.n > 300:
         raise ValueError("extended dimension exceeds the supported budget (300)")
-    psi0 = uniform_state(dim)
+    h_ext = HermitianOperator.from_graph(ext_g)
+    psi0 = uniform_state(ext_g.n)
     if use_limiting:
         qw_scores = limiting_distribution(h_ext, psi0)
     else:
         qw_scores = time_average_distribution(h_ext, psi0, t_final, steps)
-    _, ext_g = extended_graph(base, kind)
     ev_scores = eigenvector_centrality(ext_g)
     cos = float(qw_scores @ ev_scores / (np.linalg.norm(qw_scores) * np.linalg.norm(ev_scores)))
     return CentralityReport(
@@ -96,21 +95,17 @@ class SearchResult:
 
 
 def _search_peak(h: HermitianOperator, psi0: np.ndarray, marked: list[int], horizon: float):
-    """Peak marked-set probability within the horizon and its first time."""
+    """Peak marked-set probability within the horizon and its time."""
     w, v = h.spectral_decompose()
     coeff = v.conj().T @ psi0
+    vm = v[marked, :]
+
+    def success(t):
+        return float((np.abs(vm @ (np.exp(-1j * w * t) * coeff)) ** 2).sum())
+
     times = np.linspace(0.0, horizon, 600)
-    amp = v[marked, :] @ (np.exp(-1j * np.outer(w, times)) * coeff[:, None])
-    succ = (np.abs(amp) ** 2).sum(axis=0)
-    k = int(np.argmax(succ))
-    # refine around the grid peak
-    lo = times[max(k - 1, 0)]
-    hi = times[min(k + 1, len(times) - 1)]
-    fine = np.linspace(lo, hi, 200)
-    amp_f = v[marked, :] @ (np.exp(-1j * np.outer(w, fine)) * coeff[:, None])
-    succ_f = (np.abs(amp_f) ** 2).sum(axis=0)
-    kf = int(np.argmax(succ_f))
-    return float(fine[kf]), float(succ_f[kf])
+    amp = vm @ (np.exp(-1j * np.outer(w, times)) * coeff[:, None])
+    return _refined_peak(success, times, (np.abs(amp) ** 2).sum(axis=0))
 
 
 def spatial_search(g: Graph, marked, start=None, gamma_strategy="auto",

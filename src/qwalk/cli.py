@@ -30,9 +30,8 @@ from .dynamics import (
 )
 from .evolution import (
     HermitianOperator,
+    _evolve_classical_many,
     basis_state,
-    evolve_classical,
-    measure,
 )
 from .graphs import (
     Graph,
@@ -48,7 +47,6 @@ from .graphs import (
 from .particles import (
     BOSON,
     ParticleKind,
-    build_extended_hamiltonian,
     correlation_via_extended_walk,
     extended_graph,
     two_particle_correlation,
@@ -84,6 +82,8 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _jsonable(obj):
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
@@ -223,7 +223,8 @@ def main(ctx, seed, out_dir, config_path, threads):
             from threadpoolctl import threadpool_limits
             ctx.obj["_limiter"] = threadpool_limits(limits=threads)
         except ImportError:
-            pass
+            click.echo(f"warning: thread cap {threads} not applied "
+                       "(threadpoolctl is not installed)", err=True)
     if config_path is not None:
         try:
             cfg = json.loads(Path(config_path).read_text())
@@ -287,7 +288,7 @@ def evolve_cmd(ctx, graph_file, family, size, p, m, walker, start, t_final, step
     else:
         p0 = np.zeros(g.n)
         p0[start] = 1.0
-        probs = np.stack([evolve_classical(g, p0, t) for t in times], axis=1)
+        probs = _evolve_classical_many(g, p0, times)
     csv_path = Path(ctx.obj["out_dir"]) / "evolve.csv"
     _write_csv(csv_path, ["t"] + [f"v{i}" for i in range(g.n)],
                [[t, *probs[:, k]] for k, t in enumerate(times)])

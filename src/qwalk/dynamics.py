@@ -15,13 +15,11 @@ from scipy.optimize import minimize_scalar
 
 from .evolution import (
     HermitianOperator,
+    _classical_series,
+    _classical_spectrum,
+    _stationary,
     as_distribution,
-    basis_state,
-    classical_generator,
-    classical_stationary,
-    evolve_classical,
     limiting_distribution,
-    tv_distance,
 )
 from .graphs import Graph
 
@@ -65,6 +63,22 @@ def _check_grid(t_max: float, dt: float):
         raise ValueError("grid too coarse: need dt <= t_max / 10")
 
 
+def _refined_peak(f, times: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+    """Grid argmax of ``values = f(times)``, refined by bounded Brent.
+
+    The refinement searches between the two grid neighbours of the argmax
+    and never returns less than the grid maximum.
+    """
+    k = int(np.argmax(values))
+    lo = times[max(k - 1, 0)]
+    hi = times[min(k + 1, len(times) - 1)]
+    res = minimize_scalar(lambda t: -f(t), bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-10})
+    if values[k] > -res.fun:
+        return float(times[k]), float(values[k])
+    return float(res.x), float(-res.fun)
+
+
 def quantum_hitting(h: HermitianOperator, start: int, target: int, t_max: float, dt: float) -> HittingResult:
     """Probability profile |<target| exp(-iHt) |start>|^2 with refined peak."""
     if start == target:
@@ -78,14 +92,7 @@ def quantum_hitting(h: HermitianOperator, start: int, target: int, t_max: float,
         return float(np.abs(overlap @ np.exp(-1j * w * t)) ** 2)
 
     profile = np.abs(np.exp(-1j * np.outer(times, w)) @ overlap) ** 2
-    k = int(np.argmax(profile))
-    lo = times[max(k - 1, 0)]
-    hi = times[min(k + 1, len(times) - 1)]
-    res = minimize_scalar(lambda t: -prob(t), bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10})
-    t_opt, eff = float(res.x), float(-res.fun)
-    if profile[k] > eff:  # refinement must never lose the grid maximum
-        t_opt, eff = float(times[k]), float(profile[k])
+    t_opt, eff = _refined_peak(prob, times, profile)
     return HittingResult(t_opt=t_opt, efficiency=eff, times=times, profile=profile)
 
 
@@ -94,27 +101,16 @@ def classical_hitting(g_ext: Graph, start: int, target: int, t_max: float, dt: f
     if start == target:
         raise ValueError("start and target must differ")
     _check_grid(t_max, dt)
-    q = HermitianOperator(classical_generator(g_ext))
-    w, v = q.spectral_decompose()
-    vr = np.real(v)
-    p0 = np.zeros(g_ext.n)
-    p0[start] = 1.0
-    coeff = vr.T @ p0
+    w, v = _classical_spectrum(g_ext)
+    weights = v[target, :] * v[start, :]
     times = np.arange(0.0, t_max + dt / 2, dt)
 
     def prob(t):
-        return float(vr[target, :] @ (np.exp(np.real(w) * t) * coeff))
+        return float(weights @ np.exp(w * t))
 
-    profile = np.exp(np.outer(times, np.real(w))) @ (vr[target, :] * coeff)
-    k = int(np.argmax(profile))
-    lo = times[max(k - 1, 0)]
-    hi = times[min(k + 1, len(times) - 1)]
-    res = minimize_scalar(lambda t: -prob(t), bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10})
-    t_opt, eff = float(res.x), float(-res.fun)
-    if profile[k] > eff:
-        t_opt, eff = float(times[k]), float(profile[k])
-    return HittingResult(t_opt=t_opt, efficiency=eff, times=times, profile=np.asarray(profile))
+    profile = np.exp(np.outer(times, w)) @ weights
+    t_opt, eff = _refined_peak(prob, times, profile)
+    return HittingResult(t_opt=t_opt, efficiency=eff, times=times, profile=profile)
 
 
 def _fit_residuals(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -180,13 +176,10 @@ def classical_mixing_time(g: Graph, p0, eps: float, horizon: float, dt: float) -
         raise ValueError("eps must be in (0, 1)")
     _check_grid(horizon, dt)
     p0 = as_distribution(p0)
-    reference = classical_stationary(g)
-    q = HermitianOperator(classical_generator(g))
-    w, v = q.spectral_decompose()
-    vr = np.real(v)
-    coeff = vr.T @ p0
+    spectrum = _classical_spectrum(g)
+    reference = _stationary(spectrum)
     times = np.arange(dt, horizon + dt / 2, dt)
-    pt = vr @ (np.exp(np.outer(np.real(w), times)) * coeff[:, None])
+    pt = _classical_series(spectrum, p0, times)
     trace = 0.5 * np.abs(pt - reference[:, None]).sum(axis=0)
     t_mix = _settle_time(times, trace, eps)
     return MixingResult(t_mix=t_mix, epsilon=eps, reference=reference, times=times, trace=trace)

@@ -36,10 +36,17 @@ _HERMITICITY_TOL = 1e-10
 
 
 class HermitianOperator:
-    """Dense complex Hermitian matrix with a cached spectral decomposition."""
+    """Dense Hermitian matrix with a cached spectral decomposition.
+
+    A matrix with no imaginary part is kept real, so it is factorized by a
+    real symmetric ``eigh`` and its eigenvectors come back real.
+    """
 
     def __init__(self, entries):
-        M = np.asarray(entries, dtype=complex)
+        M = np.asarray(entries)
+        if np.iscomplexobj(M) and not np.any(M.imag):
+            M = M.real
+        M = M.astype(complex if np.iscomplexobj(M) else float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("operator must be a square matrix")
         if np.abs(M - M.conj().T).max() > _HERMITICITY_TOL:
@@ -115,8 +122,7 @@ def evolve_quantum(h: HermitianOperator, psi0, t: float) -> np.ndarray:
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (h.dim,):
         raise ValueError("state dimension mismatch")
-    w, v = h.spectral_decompose()
-    psi = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0))
+    psi = h.evolve_many(psi0, [t])[:, 0]
     if abs(np.linalg.norm(psi) - np.linalg.norm(psi0)) > 1e-9:
         raise ArithmeticError("evolution failed to preserve norm")
     return psi
@@ -128,29 +134,46 @@ def classical_generator(g: Graph) -> np.ndarray:
     return A - np.diag(A.sum(axis=1))
 
 
-def classical_stationary(g: Graph) -> np.ndarray:
-    """Stationary distribution of Q = A - D from its null vector."""
-    q = HermitianOperator(classical_generator(g))
-    w, v = q.spectral_decompose()
+def _classical_spectrum(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The one factorization of Q = A - D: ascending rates, real eigenvectors."""
+    return HermitianOperator(classical_generator(g)).spectral_decompose()
+
+
+def _classical_series(spectrum, p0: np.ndarray, times) -> np.ndarray:
+    """exp(Q t) p0 for each t, one column per time point."""
+    w, v = spectrum
+    return v @ (np.exp(np.outer(w, np.asarray(times, dtype=float))) * (v.T @ p0)[:, None])
+
+
+def _stationary(spectrum) -> np.ndarray:
+    """Stationary distribution from the null vector of Q."""
+    w, v = spectrum
     kernel = np.abs(w) < 1e-9
     if kernel.sum() != 1:
         raise ValueError("stationary distribution not unique (graph disconnected?)")
-    pi = np.real(v[:, kernel][:, 0])
+    pi = v[:, kernel][:, 0]
     if pi.sum() < 0:
         pi = -pi
     return as_distribution(pi / pi.sum(), tol=1e-6)
 
 
-def evolve_classical(g: Graph, p0, t: float) -> np.ndarray:
-    """p(t) = exp(Q t) p0 via the symmetric decomposition of Q."""
+def _evolve_classical_many(g: Graph, p0, times) -> np.ndarray:
+    """Validated distributions exp(Q t) p0, one column per time point."""
     p0 = as_distribution(p0)
     if p0.shape != (g.n,):
         raise ValueError("distribution dimension mismatch")
-    q = HermitianOperator(classical_generator(g))
-    w, v = q.spectral_decompose()
-    vr = np.real(v)
-    p = vr @ (np.exp(w * t) * (vr.T @ p0))
-    return as_distribution(p, tol=1e-7)
+    series = _classical_series(_classical_spectrum(g), p0, times)
+    return np.stack([as_distribution(p, tol=1e-7) for p in series.T], axis=1)
+
+
+def classical_stationary(g: Graph) -> np.ndarray:
+    """Stationary distribution of Q = A - D from its null vector."""
+    return _stationary(_classical_spectrum(g))
+
+
+def evolve_classical(g: Graph, p0, t: float) -> np.ndarray:
+    """p(t) = exp(Q t) p0 via the symmetric decomposition of Q."""
+    return _evolve_classical_many(g, p0, [t])[:, 0]
 
 
 def limiting_distribution(h: HermitianOperator, psi0, degeneracy_tol: float | None = None) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import HermitianOperator, as_distribution, basis_state, evolve_quantum, measure
-from .graphs import Graph
+from .graphs import Graph, cartesian_power
 
 __all__ = [
     "ParticleKind",
@@ -116,18 +116,31 @@ class ExtendedBasis:
         return [list(s) for s in self.states]
 
 
-def _isometry(basis: ExtendedBasis) -> np.ndarray:
-    """Rows: extended basis states; columns: ordered pairs i*n + j."""
-    n = basis.base_n
-    s = np.zeros((len(basis), n * n))
-    for row, (i, j) in enumerate(basis.states):
-        if basis.kind.tag == "distinguishable" or i == j:
-            s[row, i * n + j] = 1.0
-        else:
-            sign = -1.0 if basis.kind.tag == "fermion" else 1.0
-            s[row, i * n + j] = 1.0 / math.sqrt(2)
-            s[row, j * n + i] = sign / math.sqrt(2)
-    return s
+def extended_graph(g: Graph, kind: ParticleKind) -> tuple[ExtendedBasis, Graph]:
+    """Extended graph S (A(x)I + I(x)A) S^dag, built from the base edges.
+
+    Each (base edge (u, v, w), spectator k) pair gives one extended edge
+    between the states {u, k} and {v, k}. Bosons weight it w * sqrt(2)
+    when an end is doubly occupied (k in {u, v}); fermions skip k in
+    {u, v} and carry the exchange sign, -1 when k lies between u and v.
+    Distinguishable pairs give the Cartesian square of g.
+    """
+    if kind.tag == "phased":
+        raise ValueError("phased exchange has no real extended graph; use correlations")
+    basis = ExtendedBasis(g.n, kind)
+    if kind.tag == "distinguishable":
+        return basis, cartesian_power(g)
+    edges = []
+    for u, v, w in g.edges:
+        for k in range(g.n):
+            if kind.tag == "fermion":
+                if k in (u, v):
+                    continue
+                weight = w if (u < k) == (v < k) else -w
+            else:
+                weight = w * math.sqrt(2) if k in (u, v) else w
+            edges.append((basis.index(u, k), basis.index(v, k), weight))
+    return basis, Graph.from_edges(len(basis), edges)
 
 
 def build_extended_hamiltonian(g: Graph, kind: ParticleKind) -> tuple[ExtendedBasis, HermitianOperator]:
@@ -136,30 +149,8 @@ def build_extended_hamiltonian(g: Graph, kind: ParticleKind) -> tuple[ExtendedBa
     Real symmetric; for an unweighted base graph the bosonic off-diagonal
     entries are 0, 1 or sqrt(2).
     """
-    if kind.tag == "phased":
-        raise ValueError("phased exchange has no real extended graph; use correlations")
-    basis = ExtendedBasis(g.n, kind)
-    a = g.adjacency()
-    two = np.kron(a, np.eye(g.n)) + np.kron(np.eye(g.n), a)
-    s = _isometry(basis)
-    return basis, HermitianOperator(s @ two @ s.T)
-
-
-def extended_graph(g: Graph, kind: ParticleKind) -> tuple[ExtendedBasis, Graph]:
-    """Extended Hamiltonian repackaged as a weighted Graph.
-
-    Useful when the classical-walk machinery (which takes graphs, not
-    operators) should run on the extended topology.
-    """
-    basis, h_ext = build_extended_hamiltonian(g, kind)
-    a = np.real(h_ext.entries)
-    dim = len(basis)
-    edges = [
-        (i, j, a[i, j])
-        for i in range(dim) for j in range(i + 1, dim)
-        if abs(a[i, j]) > 1e-12
-    ]
-    return basis, Graph.from_edges(dim, edges)
+    basis, ext = extended_graph(g, kind)
+    return basis, HermitianOperator.from_graph(ext)
 
 
 def _check_unitary(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evolution import HermitianOperator, as_state
-from .graphs import Graph
 
 __all__ = ["TopoModel", "build_topo_model", "amcd", "amcqm"]
 
@@ -55,16 +54,6 @@ class TopoModel:
 
     def central_cell(self) -> tuple[int, int]:
         return (self.nx - 1) // 2, (self.ny - 1) // 2
-
-    def to_graph(self) -> Graph:
-        a = np.real(self.hamiltonian.entries)
-        n = self.n_sites
-        edges = [
-            (i, j, a[i, j])
-            for i in range(n) for j in range(i + 1, n)
-            if abs(a[i, j]) > 1e-12
-        ]
-        return Graph.from_edges(n, edges)
 
 
 def build_topo_model(flavor: str, nx: int, ny: int, v: float, w: float) -> TopoModel:

@@ -83,32 +83,47 @@ def test_criterion_1_mapping_equivalence():
 def test_criterion_2_glued_tree_hitting():
     t0 = time.monotonic()
     q, c = _corner_hitting(generate_glued_tree(5))
+    # Column-space reduction (Childs et al., STOC 2003): the uniform states
+    # on the columns 1, 2, 4, 4, 2, 1 of the depth-5 glued tree span an
+    # invariant subspace on which A acts as the 6-site path L with couplings
+    # sqrt2, sqrt2, 1, sqrt2, sqrt2 (each parent feeds two children; the
+    # leaf gluing is a perfect matching). Both roots are single vertices, so
+    # U_{13,0}(t) = <c5| exp(-iLt) |c0>, and two bosons that start together
+    # on the entrance reach the exit together with amplitude U_{13,0}^2:
+    # P(t) = |<c5| exp(-iLt) |c0>|^4. The paper's 0.7059 is the chip's
+    # measured efficiency, noise included, so it is printed only as a
+    # reference. The classical walker tends to the uniform 1/105.
+    r2 = math.sqrt(2)
+    lw, lv = np.linalg.eigh(np.diag([r2, r2, 1.0, r2, r2], 1)
+                            + np.diag([r2, r2, 1.0, r2, r2], -1))
+
+    def exact(t):
+        amp = np.exp(-1j * np.outer(np.atleast_1d(t), lw)) @ (lv[5, :] * lv[0, :])
+        return np.abs(amp) ** 4
+
+    profile_err = float(np.abs(q.profile - exact(q.times)).max())
+    peak_err = abs(q.efficiency - float(exact(q.t_opt)[0]))
     ratio = q.efficiency / c.efficiency
-    primary = (abs(q.efficiency - 0.7059) <= 0.02
-               and abs(c.efficiency - 0.0095) <= 0.002
-               and ratio > 50)
-    if primary:
-        elapsed = time.monotonic() - t0
-        _verdict(2, "glued-tree hitting", elapsed < 60,
-                 f"primary: q={q.efficiency:.4f} c={c.efficiency:.5f} "
-                 f"ratio={ratio:.0f}, {elapsed:.1f}s")
-        return
-    # fallback property: large quantum advantage plus the decay shapes
-    q_res, c_res = {}, {}
-    for layers in (3, 5, 7):
-        qr, cr = _corner_hitting(generate_glued_tree(layers))
-        q_res[layers], c_res[layers] = qr, cr
+    # decay shapes across tree depths
+    q_res, c_res = {5: q}, {5: c}
+    for layers in (3, 7):
+        q_res[layers], c_res[layers] = _corner_hitting(generate_glued_tree(layers))
     q_fit = hitting_scaling(q_res)
     c_fit = hitting_scaling(c_res)
     elapsed = time.monotonic() - t0
-    ok = (ratio > 50
+    ok = (profile_err <= 1e-10
+          and peak_err <= 1e-10
           and abs(c.efficiency - 0.0095) <= 0.002
+          and ratio > 50
           and c_fit["better_model"] == "exponential"
           and q_fit["better_model"] == "linear"
           and elapsed < 60)
     _verdict(2, "glued-tree hitting", ok,
-             f"fallback: q={q.efficiency:.4f} c={c.efficiency:.5f} "
-             f"ratio={ratio:.0f}, classical decay {c_fit['better_model']}, "
+             f"q={q.efficiency:.5f} (paper measured 0.7059) at t={q.t_opt:.5f}, "
+             f"max |P - |<c5|exp(-iLt)|c0>|^4| {profile_err:.1e}, "
+             f"peak error {peak_err:.1e}, "
+             f"c={c.efficiency:.5f} (band 0.0095+/-0.002), ratio={ratio:.0f}, "
+             f"classical decay {c_fit['better_model']}, "
              f"quantum decay {q_fit['better_model']}, {elapsed:.1f}s")
 
 

@@ -170,3 +170,8 @@ def test_enet_quantum_halves_classical():
     p0[start] = 1.0
     ct = classical_mixing_time(ext, p0, 0.25, 400.0, 0.05).t_mix
     assert qt <= 0.6 * ct
+
+
+def test_classical_mixing_factorizes_generator_once(eigh_calls):
+    classical_mixing_time(generate_cycle(7), np.eye(7)[0], 0.25, 100.0, 0.1)
+    assert eigh_calls == [(7, 7)]

@@ -271,3 +271,16 @@ def test_measure_of_uniform_complete_graph_walk():
     p = measure(psi)
     # walk from one vertex of K_n stays symmetric over the other vertices
     assert np.allclose(p[1:], p[1])
+
+
+def test_real_matrix_factorized_in_real_arithmetic():
+    w, v = HermitianOperator.from_graph(generate_cycle(5)).spectral_decompose()
+    assert v.dtype == np.float64 and w.dtype == np.float64
+    # a complex dtype with no imaginary part is real too
+    h = HermitianOperator(np.array([[0, 1], [1, 0]], dtype=complex))
+    assert h.entries.dtype == np.float64
+    assert h.spectral_decompose()[1].dtype == np.float64
+    hc = _random_hermitian(4, seed=3)
+    assert hc.entries.dtype == np.complex128
+    wc, vc = hc.spectral_decompose()
+    assert vc.dtype == np.complex128 and wc.dtype == np.float64

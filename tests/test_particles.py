@@ -12,6 +12,7 @@ from qwalk import (
     DISTINGUISHABLE,
     FERMION,
     ExtendedBasis,
+    Graph,
     HermitianOperator,
     ParticleKind,
     build_extended_hamiltonian,
@@ -126,6 +127,41 @@ def test_extended_graph_helper_matches_operator():
     _, h = build_extended_hamiltonian(g, BOSON)
     assert np.allclose(eg.adjacency(), np.real(h.entries))
     assert eg.n == len(basis)
+
+
+def _dense_extended(g, kind):
+    """Oracle: S (A(x)I + I(x)A) S^T with the (anti)symmetrizing isometry S."""
+    n = g.n
+    basis = ExtendedBasis(n, kind)
+    s = np.zeros((len(basis), n * n))
+    for row, (i, j) in enumerate(basis.states):
+        if kind.tag == "distinguishable" or i == j:
+            s[row, i * n + j] = 1.0
+        else:
+            s[row, i * n + j] = 1.0 / math.sqrt(2)
+            s[row, j * n + i] = (-1.0 if kind.tag == "fermion" else 1.0) / math.sqrt(2)
+    a = g.adjacency()
+    return s @ (np.kron(a, np.eye(n)) + np.kron(np.eye(n), a)) @ s.T
+
+
+@st.composite
+def _weighted_graphs(draw):
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    weights = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(chosen),
+                            max_size=len(chosen)))
+    return Graph.from_edges(n, [(u, v, w) for (u, v), w in zip(chosen, weights)])
+
+
+@given(g=_weighted_graphs(), tag=st.sampled_from(["distinguishable", "boson", "fermion"]))
+@settings(max_examples=60, deadline=None)
+def test_edge_built_extension_matches_dense_oracle(g, tag):
+    kind = ParticleKind(tag)
+    basis, h = build_extended_hamiltonian(g, kind)
+    assert h.entries.dtype == np.float64
+    assert h.dim == len(basis)
+    assert np.abs(h.entries - _dense_extended(g, kind)).max() <= 1e-12
 
 
 # -- correlations --------------------------------------------------------
