@@ -79,9 +79,18 @@ def qw_centrality(base: Graph, kind: ParticleKind = BOSON, t_final: float = 1000
         qw_scores=qw_scores,
         ev_scores=ev_scores,
         similarity=cos,
-        qw_ranking=list(np.argsort(-qw_scores)),
-        ev_ranking=list(np.argsort(-ev_scores)),
+        qw_ranking=_ranking(qw_scores),
+        ev_ranking=_ranking(ev_scores),
     )
+
+
+def _ranking(scores: np.ndarray) -> list[int]:
+    """Vertices by descending score; scores within 1e-12 of their neighbour in
+    that order tie, and tied vertices rank by ascending index, so symmetric
+    vertices are not ordered by roundoff."""
+    order = np.argsort(-scores, kind="stable")
+    tie_group = np.concatenate(([0], np.cumsum(np.diff(scores[order]) < -1e-12)))
+    return order[np.lexsort((order, tie_group))].tolist()
 
 
 # -- spatial search ------------------------------------------------------

@@ -35,6 +35,7 @@ from .evolution import (
 )
 from .graphs import (
     Graph,
+    brute_force_isomorphic,
     generate_complete,
     generate_cycle,
     generate_erdos_renyi,
@@ -43,6 +44,7 @@ from .graphs import (
     generate_path,
     generate_scale_free,
     generate_star,
+    permute_graph,
 )
 from .particles import (
     BOSON,
@@ -53,16 +55,30 @@ from .particles import (
 )
 from .topology import amcd, amcqm, build_topo_model
 
-FAMILIES = ("glued-tree", "hypercube", "cycle", "path", "star", "complete",
-            "er", "scale-free")
-DYN_FAMILIES = {
-    # family -> (base generator, default size)
-    "ergt": (generate_glued_tree, 5),
-    "ecube": (generate_hypercube, 4),
-    "enet": (generate_cycle, 20),
-    "egrid": (generate_path, 19),
+GENERATORS = {
+    # family -> generator of the base graph from --size (and --p, --m, --seed)
+    "glued-tree": lambda size, **_: generate_glued_tree(size),
+    "hypercube": lambda size, **_: generate_hypercube(size),
+    "cycle": lambda size, **_: generate_cycle(size),
+    "path": lambda size, **_: generate_path(size),
+    "star": lambda size, **_: generate_star(size),
+    "complete": lambda size, **_: generate_complete(size),
+    "er": lambda size, p, seed, **_: generate_erdos_renyi(size, p, seed),
+    "scale-free": lambda size, m, seed, **_: generate_scale_free(size, m, seed),
 }
-FIGURE_IDS = ("2A", "2B", "2C", "2D", "3A", "3B", "3C", "3D")
+FAMILIES = tuple(GENERATORS)
+DYN_FAMILIES = {
+    # family -> (base family, default size)
+    "ergt": ("glued-tree", 5),
+    "ecube": ("hypercube", 4),
+    "enet": ("cycle", 20),
+    "egrid": ("path", 19),
+}
+WALKER_DEFAULTS = {
+    # walker -> experiment -> values for the options a run leaves unset
+    "quantum": {"hitting": {"t_max": 60.0, "dt": 0.05}, "mixing": {"horizon": 200.0}},
+    "classical": {"hitting": {"t_max": 2000.0, "dt": 2.0}, "mixing": {"horizon": 400.0}},
+}
 
 
 # -- plumbing ------------------------------------------------------------
@@ -108,13 +124,16 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _report(ctx, name: str, config: dict, payload: dict) -> Path:
+def _report(ctx, name: str, payload: dict, **resolved) -> Path:
+    """Write <out-dir>/<name>.json. Its config is the command's parameters,
+    under their own names so that ``--config`` replays it, with the values
+    the command resolved itself in place of the unset ones."""
     out = Path(ctx.obj["out_dir"]) / f"{name}.json"
     _write_json(out, {
         "command": name,
         "version": __version__,
         "seed": ctx.obj["seed"],
-        "config": config,
+        "config": {**ctx.params, **resolved},
         **payload,
     })
     click.echo(f"wrote {out}")
@@ -143,36 +162,59 @@ def _base_graph(family, size, p, m, seed, graph_file):
         return Graph.load(graph_file)
     if family is None:
         raise ValueError("give either --graph or --family")
-    if family == "glued-tree":
-        return generate_glued_tree(size)
-    if family == "hypercube":
-        return generate_hypercube(size)
-    if family == "cycle":
-        return generate_cycle(size)
-    if family == "path":
-        return generate_path(size)
-    if family == "star":
-        return generate_star(size)
-    if family == "complete":
-        return generate_complete(size)
-    if family == "er":
-        return generate_erdos_renyi(size, p, seed)
-    if family == "scale-free":
-        return generate_scale_free(size, m, seed)
-    raise ValueError(f"unknown family {family!r}")
+    if family not in GENERATORS:
+        raise ValueError(f"unknown family {family!r}")
+    return GENERATORS[family](size, p=p, m=m, seed=seed)
 
 
 def _dyn_setup(family: str, size: int | None):
-    """Extended boson graph plus corner start/target for hitting/mixing."""
+    """Size, extended boson graph and corner start/target for hitting/mixing."""
     if family not in DYN_FAMILIES:
         raise ValueError(f"family must be one of {', '.join(DYN_FAMILIES)}")
-    gen, default_size = DYN_FAMILIES[family]
+    base_family, default_size = DYN_FAMILIES[family]
     size = default_size if size is None else size
-    base = gen(size)
+    base = GENERATORS[base_family](size)
     basis, ext = extended_graph(base, BOSON)
-    start = basis.index(0, 0)
-    target = basis.index(base.n - 1, base.n - 1)
-    return size, base, basis, ext, start, target
+    return size, ext, basis.index(0, 0), basis.index(base.n - 1, base.n - 1)
+
+
+def _unset_to_default(walker: str, experiment: str, **options) -> dict:
+    """The options, each unset (None) one taken from WALKER_DEFAULTS."""
+    defaults = WALKER_DEFAULTS[walker][experiment]
+    return {k: defaults[k] if v is None else v for k, v in options.items()}
+
+
+def _hitting(setup, walker: str, t_max=None, dt=None):
+    """Corner-to-corner hitting of one walker; returns the result and its grid."""
+    _, ext, start, target = setup
+    grid = _unset_to_default(walker, "hitting", t_max=t_max, dt=dt)
+    if walker == "quantum":
+        res = quantum_hitting(HermitianOperator.from_graph(ext), start, target, **grid)
+    else:
+        res = classical_hitting(ext, start, target, **grid)
+    return res, grid
+
+
+def _mixing(setup, walker: str, eps: float, dt: float, horizon=None):
+    """Epsilon-mixing of one walker from the start corner; returns the result
+    and its horizon."""
+    _, ext, start, _ = setup
+    horizon = _unset_to_default(walker, "mixing", horizon=horizon)["horizon"]
+    if walker == "quantum":
+        h = HermitianOperator.from_graph(ext)
+        res = quantum_mixing_time(h, basis_state(ext.n, start), eps, horizon, dt)
+    else:
+        res = classical_mixing_time(ext, basis_state(ext.n, start).real, eps, horizon, dt)
+    return res, horizon
+
+
+def _search_instance(n: int, p: float, marked_count: int, seed: int):
+    """Boson-extended G(n, p) and sorted marked extended vertices, both from seed."""
+    base = generate_erdos_renyi(n, p, seed)
+    _, ext = extended_graph(base, BOSON)
+    rng = np.random.default_rng(np.uint64(seed))
+    marked = sorted(int(x) for x in rng.choice(ext.n, size=marked_count, replace=False))
+    return ext, marked
 
 
 _GRAPH_OPTIONS = [
@@ -205,7 +247,8 @@ def _graph_options(f):
 @click.option("--config", "config_path",
               type=click.Path(exists=True, dir_okay=False), default=None,
               help="JSON file of option defaults; unknown fields rejected.")
-@click.option("--threads", type=int, default=None,
+@click.option("--threads", type=click.IntRange(min=1), default=None,
+              envvar="QWALK_THREADS",
               help="Linear-algebra thread cap (fallback: env QWALK_THREADS). "
                    "Results are independent of the thread count.")
 @click.pass_context
@@ -214,11 +257,7 @@ def main(ctx, seed, out_dir, config_path, threads):
     ctx.ensure_object(dict)
     ctx.obj["seed"] = seed
     ctx.obj["out_dir"] = out_dir
-    if threads is None and os.environ.get("QWALK_THREADS"):
-        threads = int(os.environ["QWALK_THREADS"])
     if threads is not None:
-        if threads < 1:
-            raise click.UsageError("--threads must be >= 1")
         try:
             from threadpoolctl import threadpool_limits
             ctx.obj["_limiter"] = threadpool_limits(limits=threads)
@@ -286,15 +325,11 @@ def evolve_cmd(ctx, graph_file, family, size, p, m, walker, start, t_final, step
         states = h.evolve_many(basis_state(g.n, start), times)
         probs = np.abs(states) ** 2
     else:
-        p0 = np.zeros(g.n)
-        p0[start] = 1.0
-        probs = _evolve_classical_many(g, p0, times)
+        probs = _evolve_classical_many(g, basis_state(g.n, start).real, times)
     csv_path = Path(ctx.obj["out_dir"]) / "evolve.csv"
     _write_csv(csv_path, ["t"] + [f"v{i}" for i in range(g.n)],
                [[t, *probs[:, k]] for k, t in enumerate(times)])
-    config = {"family": family, "graph": graph_file, "size": size, "p": p, "m": m,
-              "walker": walker, "start": start, "t_final": t_final, "steps": steps}
-    _report(ctx, "evolve", config, {
+    _report(ctx, "evolve", {
         "final_distribution": probs[:, -1],
         "trace_csv": str(csv_path),
     })
@@ -320,9 +355,7 @@ def correlate_cmd(ctx, graph_file, family, size, p, m, particles, inputs, t):
     if kind.tag != "phased":
         _, probs_ext = correlation_via_extended_walk(g, kind, (a, b), t)
         payload["extended_walk_max_error"] = float(np.abs(probs - probs_ext).max())
-    config = {"family": family, "graph": graph_file, "size": size, "p": p, "m": m,
-              "particles": particles, "inputs": inputs, "time": t}
-    _report(ctx, "correlate", config, payload)
+    _report(ctx, "correlate", payload)
 
 
 @main.command("hitting")
@@ -339,27 +372,19 @@ def correlate_cmd(ctx, graph_file, family, size, p, m, particles, inputs, t):
 @_guarded
 def hitting_cmd(ctx, family, size, walker, t_max, dt):
     """Corner-to-corner hitting on a boson-extended graph."""
-    size, base, basis, ext, start, target = _dyn_setup(family, size)
-    if walker == "quantum":
-        t_max = 60.0 if t_max is None else t_max
-        dt = 0.05 if dt is None else dt
-        res = quantum_hitting(HermitianOperator.from_graph(ext), start, target, t_max, dt)
-    else:
-        t_max = 2000.0 if t_max is None else t_max
-        dt = 2.0 if dt is None else dt
-        res = classical_hitting(ext, start, target, t_max, dt)
+    setup = _dyn_setup(family, size)
+    size, ext, start, target = setup
+    res, grid = _hitting(setup, walker, t_max, dt)
     csv_path = Path(ctx.obj["out_dir"]) / f"hitting_{family}_{walker}.csv"
     _write_csv(csv_path, ["t", "p_target"], zip(res.times, res.profile))
-    config = {"family": family, "size": size, "walker": walker,
-              "t_max": t_max, "dt": dt}
-    _report(ctx, "hitting", config, {
+    _report(ctx, "hitting", {
         "extended_dim": ext.n,
         "start": start,
         "target": target,
         "t_opt": res.t_opt,
         "efficiency": res.efficiency,
         "profile_csv": str(csv_path),
-    })
+    }, size=size, **grid)
 
 
 @main.command("mixing")
@@ -375,25 +400,16 @@ def hitting_cmd(ctx, family, size, walker, t_max, dt):
 @_guarded
 def mixing_cmd(ctx, family, size, walker, eps, horizon, dt):
     """Epsilon-mixing time on a boson-extended graph."""
-    size, base, basis, ext, start, _ = _dyn_setup(family, size)
-    if walker == "quantum":
-        horizon = 200.0 if horizon is None else horizon
-        h = HermitianOperator.from_graph(ext)
-        res = quantum_mixing_time(h, basis_state(ext.n, start), eps, horizon, dt)
-    else:
-        horizon = 400.0 if horizon is None else horizon
-        p0 = np.zeros(ext.n)
-        p0[start] = 1.0
-        res = classical_mixing_time(ext, p0, eps, horizon, dt)
+    setup = _dyn_setup(family, size)
+    size, ext, _, _ = setup
+    res, horizon = _mixing(setup, walker, eps, dt, horizon)
     csv_path = Path(ctx.obj["out_dir"]) / f"mixing_{family}_{walker}.csv"
     _write_csv(csv_path, ["t", "tv_distance"], zip(res.times, res.trace))
-    config = {"family": family, "size": size, "walker": walker, "eps": eps,
-              "horizon": horizon, "dt": dt}
-    _report(ctx, "mixing", config, {
+    _report(ctx, "mixing", {
         "extended_dim": ext.n,
         "t_mix": res.t_mix,
         "trace_csv": str(csv_path),
-    })
+    }, size=size, horizon=horizon)
 
 
 @main.command("centrality")
@@ -411,9 +427,7 @@ def centrality_cmd(ctx, n, m, t_final, steps, limiting):
     base = generate_scale_free(n, m, ctx.obj["seed"])
     rep = qw_centrality(base, BOSON, t_final=t_final, steps=steps,
                         use_limiting=limiting)
-    config = {"n": n, "m": m, "t_final": t_final, "steps": steps,
-              "limiting": limiting}
-    _report(ctx, "centrality", config, {
+    _report(ctx, "centrality", {
         "similarity": rep.similarity,
         "qw_scores": rep.qw_scores,
         "ev_scores": rep.ev_scores,
@@ -435,15 +449,9 @@ def centrality_cmd(ctx, n, m, t_final, steps, limiting):
 @_guarded
 def search_cmd(ctx, n, p, marked_count, gamma, horizon):
     """Spatial search for random marked vertices on a boson-extended graph."""
-    seed = ctx.obj["seed"]
-    base = generate_erdos_renyi(n, p, seed)
-    _, ext = extended_graph(base, BOSON)
-    rng = np.random.default_rng(np.uint64(seed))
-    marked = sorted(int(x) for x in rng.choice(ext.n, size=marked_count, replace=False))
+    ext, marked = _search_instance(n, p, marked_count, ctx.obj["seed"])
     res = spatial_search(ext, marked, gamma_strategy=gamma, horizon=horizon)
-    config = {"n": n, "p": p, "marked_count": marked_count, "gamma": gamma,
-              "horizon": horizon}
-    _report(ctx, "search", config, {
+    _report(ctx, "search", {
         "extended_dim": ext.n,
         "marked": marked,
         "t_opt": res.t_opt,
@@ -463,8 +471,7 @@ def gi_cmd(ctx, graph1, graph2, threshold):
     g1 = Graph.load(graph1)
     g2 = Graph.load(graph2)
     verdict, trace = gi_test(g1, g2, threshold=threshold)
-    config = {"graph1": graph1, "graph2": graph2, "threshold": threshold}
-    _report(ctx, "gi", config, {
+    _report(ctx, "gi", {
         "verdict": verdict,
         "mean_distance": float(trace.mean()) if len(trace) else None,
         "distance_trace": trace,
@@ -493,38 +500,30 @@ def topo_cmd(ctx, flavor, nx, ny, v, w, probe, dimension, t_final, steps):
         value = amcd(model, dimension, t_final=t_final, steps=steps)
     else:
         value = amcqm(model, t_final=t_final, steps=steps)
-    config = {"flavor": flavor, "nx": nx, "ny": ny, "v": v, "w": w,
-              "probe": probe, "dimension": dimension, "t_final": t_final,
-              "steps": steps}
-    _report(ctx, "topo", config, {"n_sites": model.n_sites, "value": value})
+    _report(ctx, "topo", {"n_sites": model.n_sites, "value": value})
 
 
 # -- figure reproduction -------------------------------------------------
 
 
+def _verdict(name, value, passed, **bounds):
+    """One check of a panel's summary.json: name, value, bounds and verdict."""
+    return {"check": name, "value": value, **bounds, "pass": bool(passed)}
+
+
 def _check(name, value, expected, tol):
-    return {
-        "check": name,
-        "value": float(value),
-        "expected": float(expected),
-        "tolerance": float(tol),
-        "pass": bool(abs(value - expected) <= tol),
-    }
+    return _verdict(name, float(value), abs(value - expected) <= tol,
+                    expected=float(expected), tolerance=float(tol))
 
 
 def _check_range(name, value, lo, hi):
-    return {
-        "check": name,
-        "value": float(value),
-        "range": [float(lo), float(hi)],
-        "pass": bool(lo <= value <= hi),
-    }
+    return _verdict(name, float(value), lo <= value <= hi, range=[float(lo), float(hi)])
 
 
 def _fig_hitting(fig_dir, family):
-    size, base, basis, ext, start, target = _dyn_setup(family, None)
-    qr = quantum_hitting(HermitianOperator.from_graph(ext), start, target, 60.0, 0.05)
-    cr = classical_hitting(ext, start, target, 2000.0, 2.0)
+    setup = _dyn_setup(family, None)
+    qr, _ = _hitting(setup, "quantum")
+    cr, _ = _hitting(setup, "classical")
     _write_csv(fig_dir / f"{family}_quantum_profile.csv", ["t", "p_target"],
                zip(qr.times, qr.profile))
     _write_csv(fig_dir / f"{family}_classical_profile.csv", ["t", "p_target"],
@@ -542,40 +541,18 @@ def _fig_hitting(fig_dir, family):
         # decay-shape comparison across tree depths
         q_res, c_res = {}, {}
         for layers in (3, 5, 7):
-            g = generate_glued_tree(layers)
-            b, e = extended_graph(g, BOSON)
-            s, t = b.index(0, 0), b.index(g.n - 1, g.n - 1)
-            q_res[layers] = quantum_hitting(HermitianOperator.from_graph(e), s, t, 60.0, 0.05)
-            c_res[layers] = classical_hitting(e, s, t, 2000.0, 2.0)
+            setup = _dyn_setup(family, layers)
+            q_res[layers], _ = _hitting(setup, "quantum")
+            c_res[layers], _ = _hitting(setup, "classical")
         q_fit = hitting_scaling(q_res)
         c_fit = hitting_scaling(c_res)
-        checks.append({"check": "classical decay exponential",
-                       "value": c_fit["better_model"],
-                       "pass": c_fit["better_model"] == "exponential"})
-        checks.append({"check": "quantum decay sub-exponential",
-                       "value": q_fit["better_model"],
-                       "pass": q_fit["better_model"] == "linear"})
+        checks.append(_verdict("classical decay exponential", c_fit["better_model"],
+                               c_fit["better_model"] == "exponential"))
+        checks.append(_verdict("quantum decay sub-exponential", q_fit["better_model"],
+                               q_fit["better_model"] == "linear"))
         extra["quantum_scaling"] = q_fit
         extra["classical_scaling"] = c_fit
     return checks, extra
-
-
-def _mixing_sweep(fig_dir, family, sizes):
-    gen = DYN_FAMILIES[family][0]
-    rows = []
-    for size in sizes:
-        base = gen(size)
-        basis, ext = extended_graph(base, BOSON)
-        start = basis.index(0, 0)
-        h = HermitianOperator.from_graph(ext)
-        qt = quantum_mixing_time(h, basis_state(ext.n, start), 0.25, 200.0, 0.05).t_mix
-        p0 = np.zeros(ext.n)
-        p0[start] = 1.0
-        ct = classical_mixing_time(ext, p0, 0.25, 400.0, 0.05).t_mix
-        rows.append((size, ext.n, qt, ct))
-    _write_csv(fig_dir / f"{family}_mixing.csv",
-               ["size", "extended_dim", "t_mix_quantum", "t_mix_classical"], rows)
-    return rows
 
 
 def _loglog_exponent(sizes, tmix):
@@ -589,7 +566,13 @@ def _fig_mixing(fig_dir, family):
         sizes = list(range(8, 21, 2))
     else:
         sizes = [8, 11, 14, 17, 19]
-    rows = _mixing_sweep(fig_dir, family, sizes)
+    rows = []
+    for size in sizes:
+        setup = _dyn_setup(family, size)
+        qt, ct = (_mixing(setup, w, 0.25, 0.05)[0].t_mix for w in ("quantum", "classical"))
+        rows.append((size, setup[1].n, qt, ct))
+    _write_csv(fig_dir / f"{family}_mixing.csv",
+               ["size", "extended_dim", "t_mix_quantum", "t_mix_classical"], rows)
     qt = [r[2] for r in rows]
     ct = [r[3] for r in rows]
     checks = [
@@ -628,11 +611,7 @@ def _fig_search(fig_dir, seed):
     rows = []
     for base_n in sizes:
         for k in range(n_seeds):
-            inst_seed = seed + 1000 * base_n + k
-            base = generate_erdos_renyi(base_n, 0.25, inst_seed)
-            _, ext = extended_graph(base, BOSON)
-            rng = np.random.default_rng(np.uint64(inst_seed))
-            marked = sorted(int(x) for x in rng.choice(ext.n, size=3, replace=False))
+            ext, marked = _search_instance(base_n, 0.25, 3, seed + 1000 * base_n + k)
             res = spatial_search(ext, marked)
             rows.append((base_n, ext.n, res.t_opt, res.success, res.gamma))
     _write_csv(fig_dir / "search_sweep.csv",
@@ -653,7 +632,6 @@ def _fig_gi(fig_dir, seed):
     rng = np.random.default_rng(np.uint64(seed))
     base = generate_erdos_renyi(8, 0.35, seed)
     perm = rng.permutation(base.n)
-    from .graphs import brute_force_isomorphic, generate_star, permute_graph
     iso_verdict, iso_trace = gi_test(base, permute_graph(base, perm))
     other = generate_erdos_renyi(8, 0.35, seed + 1)
     attempts = 1
@@ -665,13 +643,12 @@ def _fig_gi(fig_dir, seed):
     _write_csv(fig_dir / "gi_traces.csv", ["time_index", "iso_l1", "noniso_l1"],
                zip(range(len(iso_trace)), iso_trace, noniso_trace))
     checks = [
-        {"check": "isomorphic pair consistent", "value": iso_verdict,
-         "pass": iso_verdict == "consistent-with-isomorphic"},
+        _verdict("isomorphic pair consistent", iso_verdict,
+                 iso_verdict == "consistent-with-isomorphic"),
         _check_range("isomorphic pair mean L1", float(iso_trace.mean()), 0.0, 1e-9),
-        {"check": "non-isomorphic ER pair flagged", "value": noniso_verdict,
-         "pass": noniso_verdict == "non-isomorphic"},
-        {"check": "path(4) vs star(4) flagged", "value": star_verdict,
-         "pass": star_verdict == "non-isomorphic"},
+        _verdict("non-isomorphic ER pair flagged", noniso_verdict,
+                 noniso_verdict == "non-isomorphic"),
+        _verdict("path(4) vs star(4) flagged", star_verdict, star_verdict == "non-isomorphic"),
     ]
     return checks, {"iso_mean": float(iso_trace.mean()),
                     "noniso_mean": float(noniso_trace.mean())}
@@ -696,6 +673,20 @@ def _fig_topology(fig_dir):
     return checks, results
 
 
+FIGURES = {
+    # figure id -> panel(fig_dir, seed) -> (checks, results)
+    "2A": lambda fig_dir, seed: _fig_hitting(fig_dir, "ergt"),
+    "2B": lambda fig_dir, seed: _fig_hitting(fig_dir, "ecube"),
+    "2C": lambda fig_dir, seed: _fig_mixing(fig_dir, "enet"),
+    "2D": lambda fig_dir, seed: _fig_mixing(fig_dir, "egrid"),
+    "3A": _fig_centrality,
+    "3B": _fig_search,
+    "3C": _fig_gi,
+    "3D": lambda fig_dir, seed: _fig_topology(fig_dir),
+}
+FIGURE_IDS = tuple(FIGURES)
+
+
 @main.command("reproduce")
 @click.argument("figure_id")
 @click.pass_context
@@ -709,22 +700,7 @@ def reproduce_cmd(ctx, figure_id):
         sys.exit(2)
     seed = ctx.obj["seed"]
     fig_dir = Path(ctx.obj["out_dir"]) / f"fig{figure_id}"
-    if figure_id == "2A":
-        checks, extra = _fig_hitting(fig_dir, "ergt")
-    elif figure_id == "2B":
-        checks, extra = _fig_hitting(fig_dir, "ecube")
-    elif figure_id == "2C":
-        checks, extra = _fig_mixing(fig_dir, "enet")
-    elif figure_id == "2D":
-        checks, extra = _fig_mixing(fig_dir, "egrid")
-    elif figure_id == "3A":
-        checks, extra = _fig_centrality(fig_dir, seed)
-    elif figure_id == "3B":
-        checks, extra = _fig_search(fig_dir, seed)
-    elif figure_id == "3C":
-        checks, extra = _fig_gi(fig_dir, seed)
-    else:
-        checks, extra = _fig_topology(fig_dir)
+    checks, extra = FIGURES[figure_id](fig_dir, seed)
     summary = {
         "figure": figure_id,
         "version": __version__,

@@ -109,29 +109,6 @@ class Graph:
                     stack.append(v)
         return len(seen) == self.n
 
-    def diameter(self) -> int:
-        """Unweighted diameter via BFS from every vertex."""
-        adj = [[] for _ in range(self.n)]
-        for u, v, _ in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        diam = 0
-        for s in range(self.n):
-            dist = {s: 0}
-            frontier = [s]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for v in adj[u]:
-                        if v not in dist:
-                            dist[v] = dist[u] + 1
-                            nxt.append(v)
-                frontier = nxt
-            if len(dist) != self.n:
-                raise ValueError("diameter undefined for disconnected graph")
-            diam = max(diam, max(dist.values()))
-        return diam
-
     # -- JSON interchange ------------------------------------------------
 
     def to_json(self) -> str:
@@ -294,10 +271,8 @@ def generate_scale_free(n: int, m: int, seed: int) -> Graph:
 # -- constructions -------------------------------------------------------
 
 
-def cartesian_power(g: Graph, p: int = 2) -> Graph:
+def cartesian_power(g: Graph) -> Graph:
     """Cartesian square of g: n^2 vertices (i, j), adjacency A(x)I + I(x)A."""
-    if p != 2:
-        raise ValueError("only P = 2 is supported")
     n = g.n
     edges = []
     for u, v, w in g.edges:

@@ -5,9 +5,11 @@ line, then asserts, so the verdict is visible in captured output either
 way. Runtime budgets are asserted alongside the numerical checks.
 """
 
+import json
 import math
 import time
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +44,9 @@ from qwalk import (
     two_particle_correlation,
 )
 from qwalk.cli import main as cli_main
+
+# the reproduce verdicts the benchmark's reproduce workload checks against
+VERDICTS = Path(__file__).resolve().parents[1] / "perfbench" / "verdicts.json"
 
 
 def _verdict(num, name, ok, detail):
@@ -320,6 +325,8 @@ def test_criterion_9_reproduce_determinism(tmp_path):
     t0 = time.monotonic()
     runner = CliRunner()
     figures = ["2A", "2B", "2C", "2D", "3A", "3B", "3C", "3D"]
+    table = json.loads(VERDICTS.read_text())
+    recorded = {**table["seed_independent"], **table["by_seed"]["13"]}
     for fig in figures:
         d1 = tmp_path / f"{fig}_r1"
         d2 = tmp_path / f"{fig}_r2"
@@ -333,6 +340,9 @@ def test_criterion_9_reproduce_determinism(tmp_path):
         assert files1 == files2 and files1, fig
         for rel in files1:
             assert (d1 / rel).read_bytes() == (d2 / rel).read_bytes(), (fig, rel)
+        # check names and verdicts are the contract the benchmark holds
+        summary = json.loads((d1 / f"fig{fig}" / "summary.json").read_text())
+        assert {c["check"]: c["pass"] for c in summary["checks"]} == recorded[fig], fig
     # thread-count invariance
     dthreads = {}
     for threads in ("1", "2"):

@@ -56,6 +56,23 @@ def test_qw_centrality_scale_free():
     assert len(rep.qw_scores) == 55
 
 
+@pytest.mark.parametrize("base", [generate_cycle(6), generate_path(5)], ids=["cycle6", "path5"])
+def test_qw_centrality_ties_rank_by_index(base):
+    # symmetric extended vertices score equal up to roundoff; their order
+    # must come from the vertex index, not from the roundoff
+    rep = qw_centrality(base)
+    for scores, ranking in ((rep.qw_scores, rep.qw_ranking), (rep.ev_scores, rep.ev_ranking)):
+        assert sorted(ranking) == list(range(len(scores)))
+        tied = 0
+        for a, b in zip(ranking, ranking[1:]):
+            if abs(scores[a] - scores[b]) <= 1e-12:
+                assert a < b
+                tied += 1
+            else:
+                assert scores[a] > scores[b]
+        assert tied > 0
+
+
 def test_qw_centrality_horizon_convergence():
     base = generate_scale_free(8, 2, seed=3)
     r500 = qw_centrality(base, use_limiting=False, t_final=500.0, steps=2000)

@@ -160,3 +160,30 @@ def test_unapplied_thread_cap_warns(runner, tmp_path, monkeypatch):
     result = _run(runner, ["--threads", "1", "--out-dir", str(tmp_path),
                            "graph", "--family", "path", "--size", "3"])
     assert "thread cap 1 not applied" in result.stderr
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_invalid_thread_env_exit_2(runner, tmp_path, monkeypatch, value):
+    monkeypatch.setenv("QWALK_THREADS", value)
+    result = runner.invoke(main, ["--out-dir", str(tmp_path), "graph",
+                                  "--family", "path", "--size", "3"])
+    assert result.exit_code == 2, result.output
+    assert "--threads" in result.output
+    assert not (tmp_path / "graph.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["evolve", "--family", "cycle", "--size", "5", "--t-final", "2", "--steps", "10"],
+    ["correlate", "--family", "cycle", "--size", "4", "--inputs", "0,2", "--time", "1.3"],
+    ["hitting", "--family", "ecube", "--t-max", "5", "--dt", "0.01"],
+    ["mixing", "--family", "enet", "--size", "8", "--walker", "classical"],
+], ids=lambda args: args[0])
+def test_report_config_replays(runner, tmp_path, args):
+    first, again = tmp_path / "first", tmp_path / "again"
+    _run(runner, ["--out-dir", str(first)] + args)
+    report = json.loads((first / f"{args[0]}.json").read_text())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(report["config"]))
+    _run(runner, ["--out-dir", str(again), "--config", str(cfg), args[0]])
+    replayed = json.loads((again / f"{args[0]}.json").read_text())
+    assert replayed["config"] == report["config"]

@@ -223,11 +223,6 @@ def test_cartesian_power_degree_identity():
             assert sq.degrees()[i * g.n + j] == deg[i] + deg[j]
 
 
-def test_cartesian_power_rejects_p3():
-    with pytest.raises(ValueError):
-        cartesian_power(generate_path(2), p=3)
-
-
 # -- relabeling ----------------------------------------------------------
 
 
