@@ -9,6 +9,7 @@ import numpy as np
 from .dynamics import _refined_peak
 from .evolution import (
     HermitianOperator,
+    _series,
     limiting_distribution,
     time_average_distribution,
     uniform_state,
@@ -106,15 +107,22 @@ class SearchResult:
 def _search_peak(h: HermitianOperator, psi0: np.ndarray, marked: list[int], horizon: float):
     """Peak marked-set probability within the horizon and its time."""
     w, v = h.spectral_decompose()
-    coeff = v.conj().T @ psi0
-    vm = v[marked, :]
+    vm, coeff = v[marked, :], v.conj().T @ psi0
 
     def success(t):
-        return float((np.abs(vm @ (np.exp(-1j * w * t) * coeff)) ** 2).sum())
+        return (np.abs(_series(w, vm, coeff, t, -1j)) ** 2).sum(axis=0)
 
-    times = np.linspace(0.0, horizon, 600)
-    amp = vm @ (np.exp(-1j * np.outer(w, times)) * coeff[:, None])
-    return _refined_peak(success, times, (np.abs(amp) ** 2).sum(axis=0))
+    return _refined_peak(success, np.linspace(0.0, horizon, 600))[:2]
+
+
+def _vertex_set(vertices, n: int, name: str) -> list[int]:
+    """Sorted distinct vertices, each checked to lie in 0..n-1."""
+    vertices = sorted(set(int(x) for x in vertices))
+    if not vertices:
+        raise ValueError(f"{name} set must be nonempty")
+    if vertices[0] < 0 or vertices[-1] >= n:
+        raise ValueError(f"{name} vertices must lie in 0..{n - 1}, got {vertices}")
+    return vertices
 
 
 def spatial_search(g: Graph, marked, start=None, gamma_strategy="auto",
@@ -128,11 +136,9 @@ def spatial_search(g: Graph, marked, start=None, gamma_strategy="auto",
     tolerance); the default horizon sqrt(n) keeps the tuner on the fast
     resonance, which is what makes t_opt scale as sqrt(n).
     """
-    marked = sorted(set(int(m) for m in marked))
-    if not marked:
-        raise ValueError("marked set must be nonempty")
-    a = g.adjacency()
     n = g.n
+    marked = _vertex_set(marked, n, "marked")
+    a = g.adjacency()
     if horizon is None:
         horizon = float(np.sqrt(n))
     oracle = np.zeros((n, n))
@@ -141,9 +147,7 @@ def spatial_search(g: Graph, marked, start=None, gamma_strategy="auto",
     if start is None:
         psi0 = np.full(n, 1.0 / np.sqrt(n), dtype=complex)
     else:
-        start = sorted(set(int(s) for s in start))
-        if not start:
-            raise ValueError("start set must be nonempty")
+        start = _vertex_set(start, n, "start")
         psi0 = np.zeros(n, dtype=complex)
         psi0[start] = 1.0 / np.sqrt(len(start))
     lam_max = float(np.linalg.eigvalsh(a).max())

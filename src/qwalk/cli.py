@@ -97,24 +97,10 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _jsonable(obj):
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    return obj
-
-
 def _write_json(path: Path, obj) -> None:
-    _write_atomic(path, json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
+    # numpy scalars and arrays that json cannot write itself become Python values
+    text = json.dumps(obj, indent=2, sort_keys=True, default=lambda o: o.tolist())
+    _write_atomic(path, text + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -240,8 +226,8 @@ def _graph_options(f):
 
 @click.group()
 @click.version_option(__version__)
-@click.option("--seed", type=int, default=7, show_default=True,
-              help="Master seed; all randomness derives from it.")
+@click.option("--seed", type=click.IntRange(0, 2**63 - 1), default=7, show_default=True,
+              help="Master seed in 0..2**63-1; all randomness derives from it.")
 @click.option("--out-dir", type=click.Path(file_okay=False), default="qwalk-out",
               show_default=True)
 @click.option("--config", "config_path",

@@ -15,8 +15,8 @@ from scipy.optimize import minimize_scalar
 
 from .evolution import (
     HermitianOperator,
-    _classical_series,
     _classical_spectrum,
+    _series,
     _stationary,
     as_distribution,
     limiting_distribution,
@@ -59,58 +59,54 @@ class MixingResult:
 def _check_grid(t_max: float, dt: float):
     if t_max <= 0:
         raise ValueError("t_max must be positive")
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     if dt > t_max / 10:
         raise ValueError("grid too coarse: need dt <= t_max / 10")
 
 
-def _refined_peak(f, times: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    """Grid argmax of ``values = f(times)``, refined by bounded Brent.
+def _refined_peak(f, times: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Grid argmax of the vectorized readout ``f``, refined by bounded Brent.
 
-    The refinement searches between the two grid neighbours of the argmax
-    and never returns less than the grid maximum.
+    Returns the peak time, the peak value and ``f(times)``. The refinement
+    searches between the two grid neighbours of the argmax and never
+    returns less than the grid maximum.
     """
+    values = f(times)
     k = int(np.argmax(values))
     lo = times[max(k - 1, 0)]
     hi = times[min(k + 1, len(times) - 1)]
-    res = minimize_scalar(lambda t: -f(t), bounds=(lo, hi), method="bounded",
+    res = minimize_scalar(lambda t: -f(np.array([t]))[0], bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-10})
     if values[k] > -res.fun:
-        return float(times[k]), float(values[k])
-    return float(res.x), float(-res.fun)
+        return float(times[k]), float(values[k]), values
+    return float(res.x), float(-res.fun), values
+
+
+def _hitting(spectrum, start: int, target: int, t_max: float, dt: float, rate, readout) -> HittingResult:
+    """Peak of readout(<target| V exp(rate Lambda t) V^dag |start>) over the grid."""
+    w, v = spectrum
+    if not (0 <= start < len(w) and 0 <= target < len(w)):
+        raise ValueError(f"start {start} and target {target} must lie in 0..{len(w) - 1}")
+    if start == target:
+        raise ValueError("start and target must differ")
+    _check_grid(t_max, dt)
+    rows, coeffs = v[[target], :], v[start, :].conj()
+    times = np.arange(0.0, t_max + dt / 2, dt)
+    t_opt, eff, profile = _refined_peak(
+        lambda t: readout(_series(w, rows, coeffs, t, rate)[0]), times)
+    return HittingResult(t_opt=t_opt, efficiency=eff, times=times, profile=profile)
 
 
 def quantum_hitting(h: HermitianOperator, start: int, target: int, t_max: float, dt: float) -> HittingResult:
     """Probability profile |<target| exp(-iHt) |start>|^2 with refined peak."""
-    if start == target:
-        raise ValueError("start and target must differ")
-    _check_grid(t_max, dt)
-    w, v = h.spectral_decompose()
-    overlap = v[target, :].conj() * v[start, :]
-    times = np.arange(0.0, t_max + dt / 2, dt)
-
-    def prob(t):
-        return float(np.abs(overlap @ np.exp(-1j * w * t)) ** 2)
-
-    profile = np.abs(np.exp(-1j * np.outer(times, w)) @ overlap) ** 2
-    t_opt, eff = _refined_peak(prob, times, profile)
-    return HittingResult(t_opt=t_opt, efficiency=eff, times=times, profile=profile)
+    return _hitting(h.spectral_decompose(), start, target, t_max, dt, -1j,
+                    lambda amp: np.abs(amp) ** 2)
 
 
 def classical_hitting(g_ext: Graph, start: int, target: int, t_max: float, dt: float) -> HittingResult:
     """Classical analogue: p_target(t) under the CTRW generator on g_ext."""
-    if start == target:
-        raise ValueError("start and target must differ")
-    _check_grid(t_max, dt)
-    w, v = _classical_spectrum(g_ext)
-    weights = v[target, :] * v[start, :]
-    times = np.arange(0.0, t_max + dt / 2, dt)
-
-    def prob(t):
-        return float(weights @ np.exp(w * t))
-
-    profile = np.exp(np.outer(times, w)) @ weights
-    t_opt, eff = _refined_peak(prob, times, profile)
-    return HittingResult(t_opt=t_opt, efficiency=eff, times=times, profile=profile)
+    return _hitting(_classical_spectrum(g_ext), start, target, t_max, dt, 1, np.real)
 
 
 def _fit_residuals(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -145,41 +141,42 @@ def hitting_scaling(results: dict[int, HittingResult]) -> dict:
     }
 
 
-def _settle_time(times: np.ndarray, trace: np.ndarray, eps: float) -> float:
-    """Earliest grid time after which the trace stays <= eps to the horizon."""
+def _mixing(eps: float, horizon: float, dt: float, walk) -> MixingResult:
+    """Earliest grid time after which the TV distance of ``walk`` to its
+    reference stays <= eps through the horizon; ``walk(times)`` returns the
+    reference and one distribution column per time point."""
+    if not (0.0 < eps < 1.0):
+        raise ValueError("eps must be in (0, 1)")
+    _check_grid(horizon, dt)
+    times = np.arange(dt, horizon + dt / 2, dt)
+    reference, dists = walk(times)
+    trace = 0.5 * np.abs(dists - reference[:, None]).sum(axis=0)
     above = trace > eps
     if above[-1]:
         raise ConvergenceError("trace does not stay below epsilon; increase the horizon")
     last_above = np.flatnonzero(above)
     k = 0 if len(last_above) == 0 else int(last_above[-1]) + 1
-    return float(times[k])
+    return MixingResult(t_mix=float(times[k]), epsilon=eps, reference=reference,
+                        times=times, trace=trace)
 
 
 def quantum_mixing_time(h: HermitianOperator, psi0, eps: float, horizon: float, dt: float) -> MixingResult:
     """Mixing of the running time-averaged distribution toward the limit."""
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must be in (0, 1)")
-    _check_grid(horizon, dt)
-    reference = limiting_distribution(h, psi0)
-    times = np.arange(dt, horizon + dt / 2, dt)
-    states = h.evolve_many(psi0, times)
-    probs = np.abs(states) ** 2
-    running = np.cumsum(probs, axis=1) / np.arange(1, len(times) + 1)
-    trace = 0.5 * np.abs(running - reference[:, None]).sum(axis=0)
-    t_mix = _settle_time(times, trace, eps)
-    return MixingResult(t_mix=t_mix, epsilon=eps, reference=reference, times=times, trace=trace)
+
+    def walk(times):
+        reference = limiting_distribution(h, psi0)
+        probs = np.abs(h.evolve_many(psi0, times)) ** 2
+        return reference, np.cumsum(probs, axis=1) / np.arange(1, len(times) + 1)
+
+    return _mixing(eps, horizon, dt, walk)
 
 
 def classical_mixing_time(g: Graph, p0, eps: float, horizon: float, dt: float) -> MixingResult:
     """Classical mixing: p(t) converges pointwise, no time averaging."""
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must be in (0, 1)")
-    _check_grid(horizon, dt)
-    p0 = as_distribution(p0)
-    spectrum = _classical_spectrum(g)
-    reference = _stationary(spectrum)
-    times = np.arange(dt, horizon + dt / 2, dt)
-    pt = _classical_series(spectrum, p0, times)
-    trace = 0.5 * np.abs(pt - reference[:, None]).sum(axis=0)
-    t_mix = _settle_time(times, trace, eps)
-    return MixingResult(t_mix=t_mix, epsilon=eps, reference=reference, times=times, trace=trace)
+
+    def walk(times):
+        p = as_distribution(p0)
+        w, v = spectrum = _classical_spectrum(g)
+        return _stationary(spectrum), _series(w, v, v.T @ p, times, 1)
+
+    return _mixing(eps, horizon, dt, walk)

@@ -79,9 +79,14 @@ class HermitianOperator:
     def evolve_many(self, psi0: np.ndarray, times) -> np.ndarray:
         """States at several times, one column per time point."""
         w, v = self.spectral_decompose()
-        c = v.conj().T @ np.asarray(psi0, dtype=complex)
-        phases = np.exp(-1j * np.outer(w, np.asarray(times, dtype=float)))
-        return v @ (phases * c[:, None])
+        return _series(w, v, v.conj().T @ np.asarray(psi0, dtype=complex), times, -1j)
+
+
+def _series(w, rows, coeffs, times, rate) -> np.ndarray:
+    """The spectral series rows @ exp(rate * Lambda * t) coeffs, one column per
+    time point: rate -1j evolves a quantum state, rate 1 a classical distribution."""
+    phases = np.exp(rate * w[:, None] * np.asarray(times, dtype=float))
+    return rows @ (phases * coeffs[:, None])
 
 
 def as_state(amplitudes) -> np.ndarray:
@@ -139,12 +144,6 @@ def _classical_spectrum(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return HermitianOperator(classical_generator(g)).spectral_decompose()
 
 
-def _classical_series(spectrum, p0: np.ndarray, times) -> np.ndarray:
-    """exp(Q t) p0 for each t, one column per time point."""
-    w, v = spectrum
-    return v @ (np.exp(np.outer(w, np.asarray(times, dtype=float))) * (v.T @ p0)[:, None])
-
-
 def _stationary(spectrum) -> np.ndarray:
     """Stationary distribution from the null vector of Q."""
     w, v = spectrum
@@ -162,7 +161,8 @@ def _evolve_classical_many(g: Graph, p0, times) -> np.ndarray:
     p0 = as_distribution(p0)
     if p0.shape != (g.n,):
         raise ValueError("distribution dimension mismatch")
-    series = _classical_series(_classical_spectrum(g), p0, times)
+    w, v = _classical_spectrum(g)
+    series = _series(w, v, v.T @ p0, times, 1)
     return np.stack([as_distribution(p, tol=1e-7) for p in series.T], axis=1)
 
 
@@ -176,16 +176,15 @@ def evolve_classical(g: Graph, p0, t: float) -> np.ndarray:
     return _evolve_classical_many(g, p0, [t])[:, 0]
 
 
-def limiting_distribution(h: HermitianOperator, psi0, degeneracy_tol: float | None = None) -> np.ndarray:
+def limiting_distribution(h: HermitianOperator, psi0) -> np.ndarray:
     """Long-time average over eigenspace projectors.
 
     Pbar(v) = sum over distinct eigenvalues of |<v| Pi_lambda |psi0>|^2;
-    eigenvalues within ``degeneracy_tol`` are grouped into one eigenspace.
+    eigenvalues within 1e-8 * max(|lambda|, 1) are grouped into one eigenspace.
     """
     psi0 = as_state(psi0)
     w, v = h.spectral_decompose()
-    if degeneracy_tol is None:
-        degeneracy_tol = 1e-8 * max(np.abs(w).max(), 1.0)
+    degeneracy_tol = 1e-8 * max(np.abs(w).max(), 1.0)
     coeffs = v.conj().T @ psi0
     pbar = np.zeros(h.dim)
     start = 0
@@ -197,15 +196,19 @@ def limiting_distribution(h: HermitianOperator, psi0, degeneracy_tol: float | No
     return as_distribution(pbar, tol=1e-7)
 
 
+def _average_times(t_final: float, steps: int) -> np.ndarray:
+    """The uniform grid of ``steps`` points in (0, T] that time averages use."""
+    if t_final <= 0:
+        raise ValueError(f"T must be positive, got {t_final}")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    return np.linspace(t_final / steps, t_final, steps)
+
+
 def time_average_distribution(h: HermitianOperator, psi0, t_final: float, steps: int) -> np.ndarray:
     """Riemann average of measured distributions over a uniform grid in (0, T]."""
-    if t_final <= 0:
-        raise ValueError("T must be positive")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    psi0 = as_state(psi0)
-    times = np.linspace(t_final / steps, t_final, steps)
-    states = h.evolve_many(psi0, times)
+    times = _average_times(t_final, steps)
+    states = h.evolve_many(as_state(psi0), times)
     avg = (np.abs(states) ** 2).mean(axis=1)
     return as_distribution(avg, tol=1e-7)
 

@@ -11,7 +11,6 @@ extended-walk route.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -90,15 +89,14 @@ class ExtendedBasis:
         if base_n < 2:
             raise ValueError("base graph needs at least 2 vertices")
         if kind.tag == "distinguishable":
-            states = list(itertools.product(range(base_n), repeat=2))
-        elif kind.tag in ("boson", "phased"):
-            states = list(itertools.combinations_with_replacement(range(base_n), 2))
-        elif kind.tag == "fermion":
-            states = list(itertools.combinations(range(base_n), 2))
+            first, second = divmod(np.arange(base_n * base_n), base_n)
+        else:
+            first, second = np.triu_indices(base_n, k=int(kind.tag == "fermion"))
         self.base_n = base_n
         self.kind = kind
-        self.states = states
-        self._index = {s: i for i, s in enumerate(states)}
+        self._modes = (first, second)  # mode-index arrays, one entry per state
+        self.states = list(zip(first.tolist(), second.tolist()))
+        self._index = {s: i for i, s in enumerate(self.states)}
 
     def __len__(self):
         return len(self.states)
@@ -165,40 +163,29 @@ def _check_unitary(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 def two_particle_correlation(u, inputs: tuple[int, int], kind: ParticleKind) -> tuple[ExtendedBasis, np.ndarray]:
     """Output correlation of a particle pair injected at ``inputs`` through U.
 
-    Distinguishable: P(i, j) = |U_ia U_jb|^2 over ordered pairs.
-    Boson / fermion / phased: permanent-like amplitudes
-    A(i, j) = U_ia U_jb + e^{i phi} U_ib U_ja with phi = 0, pi, or the
-    interpolating phase; unordered outcomes are normalized by the input and
-    output mode multiplicities.
+    One rule covers every kind: the amplitude of modes (i, j) is
+    A(i, j) = U_ia U_jb + xi U_ib U_ja with exchange phase xi = 0
+    (distinguishable), 1 (boson), -1 (fermion) or e^{i phi} (phased), and
+    P(i, j) = |A(i, j)|^2 / N^2 with N^2 the input state's squared norm.
+    Unordered kinds fold P(j, i) into the state i < j.
     """
     u = _check_unitary(u)
     n = u.shape[0]
     a, b = inputs
     if not (0 <= a < n and 0 <= b < n):
         raise ValueError("input modes out of range")
-    basis = ExtendedBasis(n, kind)
-    if kind.tag == "distinguishable":
-        p = np.abs(u[:, a][:, None] * u[:, b][None, :]) ** 2
-        return basis, as_distribution(p.ravel())
-    if kind.tag == "fermion" and a == b:
-        raise ValueError("fermions cannot doubly occupy an input mode")
-    xp = kind.exchange_phase
-    # doubly-occupied input: the (a, a) state has squared norm |1 + xp|^2 / 2
-    # (2 for bosons); it vanishes as the phase approaches the fermionic point
-    input_norm = abs(1 + xp) ** 2 / 2.0 if a == b else 1.0
-    if a == b and input_norm < 1e-12:
+    xi = 0.0 if kind.tag == "distinguishable" else kind.exchange_phase
+    # the input state's squared norm; for a doubly occupied mode it vanishes
+    # as the phase approaches the fermionic point
+    norm2 = abs(1 + xi) ** 2 if a == b else 1 + abs(xi) ** 2
+    if norm2 < 2e-12:
         raise ValueError("no two-particle state with this exchange phase "
                          "occupies a single mode")
-    probs = np.empty(len(basis))
-    for row, (i, j) in enumerate(basis.states):
-        amp_ij = u[i, a] * u[j, b] + xp * u[i, b] * u[j, a]
-        if i == j:
-            probs[row] = abs(amp_ij) ** 2 / 2.0
-        else:
-            amp_ji = u[j, a] * u[i, b] + xp * u[j, b] * u[i, a]
-            probs[row] = (abs(amp_ij) ** 2 + abs(amp_ji) ** 2) / 2.0
-        probs[row] /= input_norm
-    return basis, as_distribution(probs)
+    p = np.abs(np.outer(u[:, a], u[:, b]) + xi * np.outer(u[:, b], u[:, a])) ** 2 / norm2
+    basis = ExtendedBasis(n, kind)
+    if kind.tag != "distinguishable":
+        p += np.triu(p.T, 1)
+    return basis, as_distribution(p[basis._modes])
 
 
 def correlation_via_extended_walk(g: Graph, kind: ParticleKind, inputs: tuple[int, int], t: float) -> tuple[ExtendedBasis, np.ndarray]:

@@ -18,15 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolution import HermitianOperator, as_state
+from .evolution import HermitianOperator, _average_times, time_average_distribution
 
 __all__ = ["TopoModel", "build_topo_model", "amcd", "amcqm"]
 
-# intracell site coordinates: site -> (x, y) within the cell
-_SITE_POS = {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 1)}
-# full sublattice operator: +1 on sites 0 and 3, -1 on 1 and 2
-_SITE_CHIRALITY = {0: 1, 1: -1, 2: -1, 3: 1}
-# per-dimension sublattice operators (sign of the intracell coordinate)
+# per-dimension sublattice operators (sign of the intracell coordinate);
+# their product is the full operator: +1 on sites 0 and 3, -1 on 1 and 2
 _SITE_CHIRALITY_X = {0: 1, 1: -1, 2: 1, 3: -1}
 _SITE_CHIRALITY_Y = {0: 1, 1: 1, 2: -1, 3: -1}
 
@@ -89,9 +86,9 @@ def build_topo_model(flavor: str, nx: int, ny: int, v: float, w: float) -> TopoM
                 hop(idx(cx, cy, 2), idx(cx, cy + 1, 0), w)
                 hop(idx(cx, cy, 3), idx(cx, cy + 1, 1), y_sign * w)
 
-    chiral = np.array([_SITE_CHIRALITY[s] for _ in range(nx * ny) for s in range(4)], dtype=float)
     chiral_x = np.array([_SITE_CHIRALITY_X[s] for _ in range(nx * ny) for s in range(4)], dtype=float)
     chiral_y = np.array([_SITE_CHIRALITY_Y[s] for _ in range(nx * ny) for s in range(4)], dtype=float)
+    chiral = chiral_x * chiral_y
     anti = np.abs(chiral[:, None] * h * chiral[None, :] + h).max()
     if anti > 1e-9:
         raise ArithmeticError(f"chiral anti-commutation violated by {anti}")
@@ -113,8 +110,7 @@ def _default_mcd_state(model: TopoModel) -> np.ndarray:
     return psi
 
 
-def amcd(model: TopoModel, dimension: str, initial=None,
-         t_final: float = 50.0, steps: int = 200) -> float:
+def amcd(model: TopoModel, dimension: str, t_final: float = 50.0, steps: int = 200) -> float:
     """Time-averaged mean chiral displacement along one lattice dimension.
 
     Averages <psi(t_k)| Gamma_i m_i |psi(t_k)> over a uniform grid in
@@ -125,15 +121,12 @@ def amcd(model: TopoModel, dimension: str, initial=None,
     """
     if dimension not in ("x", "y"):
         raise ValueError("dimension must be 'x' or 'y'")
-    psi0 = as_state(_default_mcd_state(model) if initial is None else initial)
     if dimension == "x":
         op = model.chiral_x * model.m_x
     else:
         op = model.chiral_y * model.m_y
-    times = np.linspace(t_final / steps, t_final, steps)
-    states = model.hamiltonian.evolve_many(psi0, times)
-    vals = (op[:, None] * np.abs(states) ** 2).sum(axis=0)
-    return float(vals.mean())
+    avg = time_average_distribution(model.hamiltonian, _default_mcd_state(model), t_final, steps)
+    return float(op @ avg)
 
 
 def amcqm(model: TopoModel, initial_sites: tuple[int, int] | None = None,
@@ -166,7 +159,7 @@ def amcqm(model: TopoModel, initial_sites: tuple[int, int] | None = None,
         raise ValueError("fermions cannot share a site")
     a = model.chiral_x * model.m_x
     b = model.chiral_y * model.m_y
-    times = np.linspace(t_final / steps, t_final, steps)
+    times = _average_times(t_final, steps)
     phi1 = model.hamiltonian.evolve_many(
         np.eye(model.n_sites, dtype=complex)[:, i1], times)
     phi2 = model.hamiltonian.evolve_many(

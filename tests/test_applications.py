@@ -99,6 +99,12 @@ def test_search_empty_marked_rejected():
         spatial_search(generate_cycle(5), marked=[])
 
 
+@pytest.mark.parametrize("marked, start", [([-1], None), ([5], None), ([1], [-1]), ([1], [0, 5])])
+def test_search_rejects_vertices_outside_graph(marked, start):
+    with pytest.raises(ValueError, match="0..4"):
+        spatial_search(generate_cycle(5), marked, start=start, gamma_strategy=0.3)
+
+
 def test_search_relabeling_invariance():
     base = generate_erdos_renyi(8, 0.4, seed=2)
     res = spatial_search(base, marked=[1, 5], gamma_strategy=0.3)

@@ -187,3 +187,25 @@ def test_report_config_replays(runner, tmp_path, args):
     _run(runner, ["--out-dir", str(again), "--config", str(cfg), args[0]])
     replayed = json.loads((again / f"{args[0]}.json").read_text())
     assert replayed["config"] == report["config"]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_out_of_range_exit_2(runner, tmp_path, seed):
+    result = runner.invoke(main, ["--seed", seed, "--out-dir", str(tmp_path), "graph",
+                                  "--family", "er"])
+    assert result.exit_code == 2, result.output
+    assert "--seed" in result.output and seed in result.output
+    assert not (tmp_path / "graph.json").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["mixing", "--family", "enet", "--dt", "0"], "dt must be positive, got 0.0"),
+    (["hitting", "--family", "enet", "--dt", "-1"], "dt must be positive, got -1.0"),
+    (["topo", "--steps", "0"], "steps must be >= 1, got 0"),
+    (["topo", "--probe", "amcqm", "--flavor", "bbh", "--steps", "0"], "steps must be >= 1, got 0"),
+    (["topo", "--probe", "amcqm", "--flavor", "bbh", "--t-final", "-2"], "T must be positive, got -2.0"),
+], ids=["mixing-dt", "hitting-dt", "amcd-steps", "amcqm-steps", "amcqm-t"])
+def test_nonpositive_grid_exit_2(runner, tmp_path, args, message):
+    result = runner.invoke(main, ["--out-dir", str(tmp_path)] + args)
+    assert result.exit_code == 2, result.output
+    assert message in result.output

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qwalk import (
     BOSON,
@@ -49,6 +50,32 @@ def test_hitting_validation():
         quantum_hitting(_k2(), 0, 0, 3.0, 0.01)
     with pytest.raises(ValueError):
         quantum_hitting(_k2(), 0, 1, 3.0, 1.0)  # dt > t_max / 10
+
+
+def test_quantum_hitting_reads_forward_amplitude_of_complex_hamiltonian():
+    # chiral hopping on a triangle breaks time reversal, so the transfer
+    # 0 -> 1 differs from the transfer 1 -> 0 at the same time
+    h = np.array([[0, 1j, -1j], [-1j, 0, 1j], [1j, -1j, 0]])
+    res = quantum_hitting(HermitianOperator(h), 0, 1, 3.0, 0.01)
+    expected = [abs(expm(-1j * h * t)[1, 0]) ** 2 for t in res.times]
+    assert np.abs(res.profile - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("start, target", [(0, -6), (-1, 0), (0, 6), (6, 0)])
+def test_hitting_rejects_vertices_outside_graph(start, target):
+    g = generate_cycle(6)
+    with pytest.raises(ValueError, match="0..5"):
+        classical_hitting(g, start, target, 10.0, 0.1)
+    with pytest.raises(ValueError, match="0..5"):
+        quantum_hitting(HermitianOperator.from_graph(g), start, target, 10.0, 0.1)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0])
+def test_nonpositive_time_step_rejected(dt):
+    with pytest.raises(ValueError, match="dt must be positive"):
+        quantum_hitting(_k2(), 0, 1, 3.0, dt)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        classical_mixing_time(generate_path(2), [1.0, 0.0], 0.25, 10.0, dt)
 
 
 def test_hitting_relabeling_invariance():

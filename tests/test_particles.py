@@ -1,5 +1,6 @@
 """Exchange symmetry, extended graphs, and two-particle correlations."""
 
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from qwalk import (
     phased,
     two_particle_correlation,
 )
+from qwalk.evolution import as_distribution
 
 
 def _coupler():
@@ -223,6 +225,66 @@ def test_correlations_sum_to_one():
                 continue
             _, p = two_particle_correlation(u, inputs, kind)
             assert abs(p.sum() - 1.0) < 1e-9
+
+
+def _loop_correlation(u, inputs, kind):
+    """Oracle: the per-state loop with one branch per kind that the
+    vectorized pair rule replaced, over an itertools-built basis.
+    Returns the basis states and their probabilities."""
+    n = u.shape[0]
+    a, b = inputs
+    if kind.tag == "distinguishable":
+        states = list(itertools.product(range(n), repeat=2))
+        p = np.abs(u[:, a][:, None] * u[:, b][None, :]) ** 2
+        return states, as_distribution(p.ravel())
+    if kind.tag == "fermion":
+        states = list(itertools.combinations(range(n), 2))
+    else:
+        states = list(itertools.combinations_with_replacement(range(n), 2))
+    if kind.tag == "fermion" and a == b:
+        raise ValueError("fermions cannot doubly occupy an input mode")
+    xp = kind.exchange_phase
+    input_norm = abs(1 + xp) ** 2 / 2.0 if a == b else 1.0
+    if a == b and input_norm < 1e-12:
+        raise ValueError("no two-particle state with this exchange phase "
+                         "occupies a single mode")
+    probs = np.empty(len(states))
+    for row, (i, j) in enumerate(states):
+        amp_ij = u[i, a] * u[j, b] + xp * u[i, b] * u[j, a]
+        if i == j:
+            probs[row] = abs(amp_ij) ** 2 / 2.0
+        else:
+            amp_ji = u[j, a] * u[i, b] + xp * u[j, b] * u[i, a]
+            probs[row] = (abs(amp_ij) ** 2 + abs(amp_ji) ** 2) / 2.0
+        probs[row] /= input_norm
+    return states, as_distribution(probs)
+
+
+@given(n=st.integers(2, 7), seed=st.integers(0, 2**32 - 1),
+       tag=st.sampled_from(["distinguishable", "boson", "fermion", "phased"]),
+       phase=st.floats(0.0, 2 * math.pi, exclude_max=True),
+       a=st.integers(0, 6), shift=st.integers(0, 6), same=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_pair_rule_matches_per_state_loop(n, seed, tag, phase, a, shift, same):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    u = HermitianOperator((x + x.conj().T) / 2).propagator(1.0)
+    kind = phased(phase) if tag == "phased" else ParticleKind(tag)
+    a %= n
+    b = a if same else (a + 1 + shift % (n - 1)) % n
+    try:
+        states, expected = _loop_correlation(u, (a, b), kind)
+    except ValueError:
+        with pytest.raises(ValueError):
+            two_particle_correlation(u, (a, b), kind)
+        return
+    basis, p = two_particle_correlation(u, (a, b), kind)
+    assert basis.states == states
+    # both divide by the input norm N^2, which amplifies roundoff by 1 / N^2
+    # for a doubly occupied mode near the fermionic phase
+    norm2 = 1.0 if tag == "distinguishable" else abs(1 + kind.exchange_phase) ** 2
+    tol = 1e-12 / min(norm2, 1.0) if a == b else 1e-12
+    assert np.abs(p - expected).max() <= tol
 
 
 # -- extended-walk equivalence ------------------------------------------
