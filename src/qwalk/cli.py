@@ -30,6 +30,7 @@ from .dynamics import (
 )
 from .evolution import (
     HermitianOperator,
+    _check_series_size,
     _evolve_classical_many,
     basis_state,
 )
@@ -305,6 +306,7 @@ def evolve_cmd(ctx, graph_file, family, size, p, m, walker, start, t_final, step
         raise ValueError("start vertex out of range")
     if steps < 2:
         raise ValueError("steps must be >= 2")
+    _check_series_size(g.n, steps + 1)
     times = np.linspace(0.0, t_final, steps + 1)
     if walker == "quantum":
         h = HermitianOperator.from_graph(g)

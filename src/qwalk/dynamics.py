@@ -15,6 +15,7 @@ from scipy.optimize import minimize_scalar
 
 from .evolution import (
     HermitianOperator,
+    _check_series_size,
     _classical_spectrum,
     _series,
     _stationary,
@@ -56,13 +57,14 @@ class MixingResult:
     trace: np.ndarray = field(repr=False)
 
 
-def _check_grid(t_max: float, dt: float):
+def _check_grid(t_max: float, dt: float, dim: int):
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if dt > t_max / 10:
         raise ValueError("grid too coarse: need dt <= t_max / 10")
+    _check_series_size(dim, t_max / dt + 1)
 
 
 def _refined_peak(f, times: np.ndarray) -> tuple[float, float, np.ndarray]:
@@ -90,7 +92,7 @@ def _hitting(spectrum, start: int, target: int, t_max: float, dt: float, rate, r
         raise ValueError(f"start {start} and target {target} must lie in 0..{len(w) - 1}")
     if start == target:
         raise ValueError("start and target must differ")
-    _check_grid(t_max, dt)
+    _check_grid(t_max, dt, len(w))
     rows, coeffs = v[[target], :], v[start, :].conj()
     times = np.arange(0.0, t_max + dt / 2, dt)
     t_opt, eff, profile = _refined_peak(
@@ -141,13 +143,14 @@ def hitting_scaling(results: dict[int, HittingResult]) -> dict:
     }
 
 
-def _mixing(eps: float, horizon: float, dt: float, walk) -> MixingResult:
+def _mixing(eps: float, horizon: float, dt: float, dim: int, walk) -> MixingResult:
     """Earliest grid time after which the TV distance of ``walk`` to its
     reference stays <= eps through the horizon; ``walk(times)`` returns the
-    reference and one distribution column per time point."""
+    reference and one distribution column over the ``dim`` states per time
+    point."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must be in (0, 1)")
-    _check_grid(horizon, dt)
+    _check_grid(horizon, dt, dim)
     times = np.arange(dt, horizon + dt / 2, dt)
     reference, dists = walk(times)
     trace = 0.5 * np.abs(dists - reference[:, None]).sum(axis=0)
@@ -168,7 +171,7 @@ def quantum_mixing_time(h: HermitianOperator, psi0, eps: float, horizon: float, 
         probs = np.abs(h.evolve_many(psi0, times)) ** 2
         return reference, np.cumsum(probs, axis=1) / np.arange(1, len(times) + 1)
 
-    return _mixing(eps, horizon, dt, walk)
+    return _mixing(eps, horizon, dt, h.dim, walk)
 
 
 def classical_mixing_time(g: Graph, p0, eps: float, horizon: float, dt: float) -> MixingResult:
@@ -179,4 +182,4 @@ def classical_mixing_time(g: Graph, p0, eps: float, horizon: float, dt: float) -
         w, v = spectrum = _classical_spectrum(g)
         return _stationary(spectrum), _series(w, v, v.T @ p, times, 1)
 
-    return _mixing(eps, horizon, dt, walk)
+    return _mixing(eps, horizon, dt, g.n, walk)

@@ -34,6 +34,10 @@ __all__ = [
 
 _HERMITICITY_TOL = 1e-10
 
+# Largest spectral series a time grid may ask for: state dimension x time
+# points, in complex values (2**26 of them take 1 GiB).
+_MAX_SERIES_VALUES = 2**26
+
 
 class HermitianOperator:
     """Dense Hermitian matrix with a cached spectral decomposition.
@@ -87,6 +91,17 @@ def _series(w, rows, coeffs, times, rate) -> np.ndarray:
     time point: rate -1j evolves a quantum state, rate 1 a classical distribution."""
     phases = np.exp(rate * w[:, None] * np.asarray(times, dtype=float))
     return rows @ (phases * coeffs[:, None])
+
+
+def _check_series_size(dim: int, points: float) -> None:
+    """Refuse a time grid whose spectral series would exceed _MAX_SERIES_VALUES;
+    called before the grid or the series is allocated."""
+    values = dim * points
+    if values > _MAX_SERIES_VALUES:
+        raise ValueError(
+            f"time grid of {points:.3g} points on {dim} states needs {values:.3g} complex "
+            f"values ({values * 16 / 2**30:.3g} GiB), over the limit of 2**26 (1 GiB); "
+            "use a larger step or a shorter window")
 
 
 def as_state(amplitudes) -> np.ndarray:
@@ -196,18 +211,20 @@ def limiting_distribution(h: HermitianOperator, psi0) -> np.ndarray:
     return as_distribution(pbar, tol=1e-7)
 
 
-def _average_times(t_final: float, steps: int) -> np.ndarray:
-    """The uniform grid of ``steps`` points in (0, T] that time averages use."""
+def _average_times(t_final: float, steps: int, dim: int) -> np.ndarray:
+    """The uniform grid of ``steps`` points in (0, T] that time averages of
+    ``dim`` states use."""
     if t_final <= 0:
         raise ValueError(f"T must be positive, got {t_final}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    _check_series_size(dim, steps)
     return np.linspace(t_final / steps, t_final, steps)
 
 
 def time_average_distribution(h: HermitianOperator, psi0, t_final: float, steps: int) -> np.ndarray:
     """Riemann average of measured distributions over a uniform grid in (0, T]."""
-    times = _average_times(t_final, steps)
+    times = _average_times(t_final, steps, h.dim)
     states = h.evolve_many(as_state(psi0), times)
     avg = (np.abs(states) ** 2).mean(axis=1)
     return as_distribution(avg, tol=1e-7)

@@ -88,27 +88,40 @@ class ExtendedBasis:
     def __init__(self, base_n: int, kind: ParticleKind):
         if base_n < 2:
             raise ValueError("base graph needs at least 2 vertices")
+        # 1 when a state's second mode must exceed its first (fermions)
+        self._strict = int(kind.tag == "fermion")
         if kind.tag == "distinguishable":
             first, second = divmod(np.arange(base_n * base_n), base_n)
         else:
-            first, second = np.triu_indices(base_n, k=int(kind.tag == "fermion"))
+            first, second = np.triu_indices(base_n, k=self._strict)
         self.base_n = base_n
         self.kind = kind
         self._modes = (first, second)  # mode-index arrays, one entry per state
-        self.states = list(zip(first.tolist(), second.tolist()))
-        self._index = {s: i for i, s in enumerate(self.states)}
 
     def __len__(self):
-        return len(self.states)
+        return len(self._modes[0])
+
+    @property
+    def states(self) -> list[tuple[int, int]]:
+        """The (i, j) mode pair of every state, in basis order."""
+        return list(zip(self._modes[0].tolist(), self._modes[1].tolist()))
 
     def index(self, i: int, j: int) -> int:
         """Index of the basis state containing modes (i, j)."""
+        if not (0 <= i < self.base_n and 0 <= j < self.base_n):
+            raise KeyError(f"modes ({i}, {j}) outside 0..{self.base_n - 1}")
+        if i == j and self._strict:
+            raise KeyError(f"state ({i}, {j}) not in basis ({self.kind.tag})")
+        return int(self._locate(i, j))
+
+    def _locate(self, i, j):
+        """State indices of the mode pairs (i, j), elementwise, unchecked."""
+        n = self.base_n
         if self.kind.tag == "distinguishable":
-            return self._index[(i, j)]
-        key = (min(i, j), max(i, j))
-        if key not in self._index:
-            raise KeyError(f"state {key} not in basis ({self.kind.tag})")
-        return self._index[key]
+            return i * n + j
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        # rows i' < i of the upper triangle hold n - i' - strict states each
+        return i * n - i * (i + 1) // 2 + j - self._strict * (i + 1)
 
     def to_json_list(self) -> list[list[int]]:
         return [list(s) for s in self.states]
@@ -128,16 +141,19 @@ def extended_graph(g: Graph, kind: ParticleKind) -> tuple[ExtendedBasis, Graph]:
     basis = ExtendedBasis(g.n, kind)
     if kind.tag == "distinguishable":
         return basis, cartesian_power(g)
-    edges = []
-    for u, v, w in g.edges:
-        for k in range(g.n):
-            if kind.tag == "fermion":
-                if k in (u, v):
-                    continue
-                weight = w if (u < k) == (v < k) else -w
-            else:
-                weight = w * math.sqrt(2) if k in (u, v) else w
-            edges.append((basis.index(u, k), basis.index(v, k), weight))
+    # one row per base edge, one column per spectator k
+    e = np.array(g.edges, dtype=float).reshape(-1, 3)
+    u, v, w = e[:, :1].astype(int), e[:, 1:2].astype(int), e[:, 2:]
+    k = np.arange(g.n)
+    ends = (k == u) | (k == v)
+    if kind.tag == "fermion":
+        keep = ~ends
+        weight = np.where((u < k) == (v < k), w, -w)
+    else:
+        keep = np.ones_like(ends)
+        weight = np.where(ends, w * math.sqrt(2), w)
+    edges = zip(basis._locate(u, k)[keep].tolist(), basis._locate(v, k)[keep].tolist(),
+                weight[keep].tolist())
     return basis, Graph.from_edges(len(basis), edges)
 
 

@@ -159,7 +159,7 @@ def amcqm(model: TopoModel, initial_sites: tuple[int, int] | None = None,
         raise ValueError("fermions cannot share a site")
     a = model.chiral_x * model.m_x
     b = model.chiral_y * model.m_y
-    times = _average_times(t_final, steps)
+    times = _average_times(t_final, steps, model.n_sites)
     phi1 = model.hamiltonian.evolve_many(
         np.eye(model.n_sites, dtype=complex)[:, i1], times)
     phi2 = model.hamiltonian.evolve_many(

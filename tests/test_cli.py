@@ -209,3 +209,17 @@ def test_nonpositive_grid_exit_2(runner, tmp_path, args, message):
     result = runner.invoke(main, ["--out-dir", str(tmp_path)] + args)
     assert result.exit_code == 2, result.output
     assert message in result.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (["hitting", "--family", "enet", "--dt", "1e-6"], "1.26e+10 complex values (188 GiB)"),
+    (["mixing", "--family", "enet", "--dt", "1e-7"], "on 210 states"),
+    (["evolve", "--family", "cycle", "--size", "10", "--steps", "100000000"], "1e+08 points"),
+    (["topo", "--steps", "1000000000"], "1e+09 points"),
+    (["topo", "--probe", "amcqm", "--flavor", "bbh", "--steps", "1000000000"], "1e+09 points"),
+], ids=["hitting", "mixing", "evolve", "amcd", "amcqm"])
+def test_oversized_time_grid_exit_2(runner, tmp_path, args, message):
+    result = runner.invoke(main, ["--out-dir", str(tmp_path)] + args)
+    assert result.exit_code == 2, result.output
+    assert "over the limit of 2**26" in result.output and message in result.output
+    assert not any(tmp_path.iterdir())

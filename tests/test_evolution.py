@@ -27,6 +27,7 @@ from qwalk import (
     time_average_distribution,
     tv_distance,
 )
+from qwalk.evolution import _check_series_size
 
 
 def _random_hermitian(dim, seed):
@@ -213,6 +214,16 @@ def test_time_average_is_distribution():
     h = _random_hermitian(6, 7)
     avg = time_average_distribution(h, _random_state(6, 8), 10.0, 50)
     assert avg.min() >= 0 and abs(avg.sum() - 1) < 1e-12
+
+
+def test_time_grid_size_bound():
+    # 4 states x 2**24 points is exactly the 2**26-value limit; one more point is over
+    _check_series_size(4, 2**24)
+    with pytest.raises(ValueError, match="over the limit of 2"):
+        _check_series_size(4, 2**24 + 1)
+    h = HermitianOperator.from_graph(generate_path(4))
+    with pytest.raises(ValueError, match="over the limit of 2"):
+        time_average_distribution(h, basis_state(4, 0), 1.0, 2**24 + 1)
 
 
 def test_time_average_converges_on_path4():

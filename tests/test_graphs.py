@@ -1,5 +1,6 @@
 """Graph construction, generators, and relabeling machinery."""
 
+import itertools
 import json
 import math
 
@@ -250,7 +251,7 @@ def test_permute_preserves_degree_multiset(seed):
     assert sorted(g.degrees().tolist()) == sorted(gp.degrees().tolist())
 
 
-# -- brute-force isomorphism --------------------------------------------
+# -- isomorphism oracle --------------------------------------------------
 
 
 def test_brute_force_accepts_relabeling():
@@ -267,6 +268,98 @@ def test_brute_force_rejects_different_graphs():
     assert not brute_force_isomorphic(generate_cycle(6), two_triangles)
 
 
-def test_brute_force_size_cap():
-    with pytest.raises(ValueError):
-        brute_force_isomorphic(generate_path(10), generate_path(10))
+def _reweighted(g, seed):
+    """g relabelled, with one edge weight changed (1 <-> 2)."""
+    rng = np.random.default_rng(seed)
+    edges = list(permute_graph(g, rng.permutation(g.n)).edges)
+    k = int(rng.integers(len(edges)))
+    u, v, w = edges[k]
+    edges[k] = (u, v, 3.0 - w)
+    return Graph.from_edges(g.n, edges)
+
+
+def test_brute_force_beyond_former_size_cap():
+    shrikhande = Graph.from_edges(16, [
+        (4 * i + j, 4 * ((i + di) % 4) + (j + dj) % 4, 1.0)
+        for i in range(4) for j in range(4) for di, dj in ((0, 1), (1, 0), (1, 1))])
+    rook = Graph.from_edges(16, [(u, v, 1.0) for u in range(16) for v in range(u + 1, 16)
+                                 if u // 4 == v // 4 or u % 4 == v % 4])
+    # both are SRG(16, 6, 2, 2), so colour refinement alone leaves one class
+    # in each and only the individualization search can tell them apart
+    assert not brute_force_isomorphic(shrikhande, rook)
+    # Frucht graph: 3-regular with no automorphism but the identity, so
+    # refinement leaves one class and only the image of vertex 0 works; the
+    # reversal puts that image last among the candidates
+    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    frucht = Graph.from_edges(12, {(min(i, k), max(i, k), 1.0) for i, d in enumerate(lcf)
+                                   for k in ((i + 1) % 12, (i + d) % 12)})
+    assert brute_force_isomorphic(frucht, permute_graph(frucht, range(11, -1, -1)))
+    rng = np.random.default_rng(0)
+    for g in (generate_hypercube(6), generate_glued_tree(7)):
+        assert brute_force_isomorphic(g, permute_graph(g, rng.permutation(g.n)))
+        assert not brute_force_isomorphic(g, _reweighted(g, seed=g.n))
+
+
+def _permutation_scan(g1: Graph, g2: Graph) -> bool:
+    """Reference: try all n! relabellings of g1 against g2's weighted edges."""
+    if g1.n != g2.n:
+        return False
+    target = g2.edge_set()
+    return any(
+        frozenset((min(p[u], p[v]), max(p[u], p[v]), w) for u, v, w in g1.edges) == target
+        for p in itertools.permutations(range(g1.n)))
+
+
+def _partner(g: Graph, mode: str, independent, seed: int) -> Graph:
+    """Second graph of a pair: ``independent()``, g with one weight changed,
+    or (also for an edgeless g) g relabelled."""
+    if mode == "independent":
+        return independent()
+    if mode == "reweighted" and g.edges:
+        return _reweighted(g, seed)
+    return permute_graph(g, np.random.default_rng(seed).permutation(g.n))
+
+
+@st.composite
+def _weighted_graph(draw, n):
+    pairs = list(itertools.combinations(range(n), 2))
+    if not pairs:
+        return Graph.from_edges(n, [])
+    edges = draw(st.dictionaries(st.sampled_from(pairs), st.sampled_from([1.0, 2.0])))
+    return Graph.from_edges(n, [(u, v, w) for (u, v), w in edges.items()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 7), st.sampled_from(["relabelled", "independent", "reweighted"]),
+       st.integers(0, 2**32 - 1))
+def test_oracle_matches_permutation_scan(data, n, mode, seed):
+    g1 = data.draw(_weighted_graph(n))
+    g2 = _partner(g1, mode, lambda: data.draw(_weighted_graph(n)), seed)
+    assert brute_force_isomorphic(g1, g2) == _permutation_scan(g1, g2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(10, 20), st.sampled_from(["gnp", "regular"]),
+       st.sampled_from(["relabelled", "independent", "reweighted"]), st.integers(0, 2**32 - 1))
+def test_oracle_matches_networkx_vf2(n, family, mode, seed):
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        if family == "regular":  # unweighted: refinement leaves one class to search
+            h = nx.random_regular_graph(3 if n % 2 == 0 else 4, n, seed=int(rng.integers(2**31)))
+            return Graph.from_edges(n, [(u, v, 1.0) for u, v in h.edges])
+        h = nx.gnp_random_graph(n, 0.3, seed=int(rng.integers(2**31)))
+        return Graph.from_edges(n, [(u, v, float(rng.choice([1.0, 2.0]))) for u, v in h.edges])
+
+    def to_nx(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_weighted_edges_from(g.edges)
+        return h
+
+    g1 = draw()
+    g2 = _partner(g1, mode, draw, seed)
+    expected = nx.is_isomorphic(to_nx(g1), to_nx(g2),
+                                edge_match=lambda a, b: a["weight"] == b["weight"])
+    assert brute_force_isomorphic(g1, g2) == expected

@@ -72,12 +72,22 @@ def test_basis_dimensions(n):
 
 
 def test_basis_index_bijection():
-    basis = ExtendedBasis(5, BOSON)
-    for k, (i, j) in enumerate(basis.states):
-        assert basis.index(i, j) == k
-        assert basis.index(j, i) == k
-    with pytest.raises(KeyError):
-        ExtendedBasis(5, FERMION).index(2, 2)
+    for n, kind in itertools.product((2, 7, 30), (DISTINGUISHABLE, BOSON, FERMION)):
+        basis = ExtendedBasis(n, kind)
+        states = basis.states
+        assert len(states) == len(basis) == len(set(states))
+        for k, (i, j) in enumerate(states):
+            assert basis.index(i, j) == k
+            if kind is not DISTINGUISHABLE:
+                assert basis.index(j, i) == k
+        assert basis.to_json_list() == [list(s) for s in states]
+        for bad in ((-1, 0), (0, n), (n, n)):
+            with pytest.raises(KeyError):
+                basis.index(*bad)
+        if kind is FERMION:
+            for i in range(n):
+                with pytest.raises(KeyError):
+                    basis.index(i, i)
 
 
 # -- extended Hamiltonians ----------------------------------------------
