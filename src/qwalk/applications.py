@@ -15,7 +15,7 @@ from .evolution import (
     uniform_state,
 )
 from .graphs import Graph
-from .particles import BOSON, ParticleKind, build_extended_hamiltonian, extended_graph
+from .particles import BOSON, ParticleKind, build_extended_hamiltonian
 
 __all__ = [
     "CentralityReport",
@@ -45,9 +45,12 @@ def eigenvector_centrality(g: Graph) -> np.ndarray:
     """Perron eigenvector of the adjacency matrix, nonnegative, unit L2."""
     if not g.is_connected():
         raise ValueError("eigenvector centrality requires a connected graph")
-    h = HermitianOperator.from_graph(g)
-    w, v = h.spectral_decompose()
-    vec = v[:, -1]
+    return _perron(HermitianOperator.from_graph(g))
+
+
+def _perron(h: HermitianOperator) -> np.ndarray:
+    """The top eigenvector of h, signed nonnegative, clipped, unit L2."""
+    vec = h.spectral_decompose()[1][:, -1]
     if vec.sum() < 0:
         vec = -vec
     if vec.min() < -1e-9:
@@ -63,18 +66,19 @@ def qw_centrality(base: Graph, kind: ParticleKind = BOSON, t_final: float = 1000
     The walk starts from the uniform superposition over extended vertices;
     similarity is the cosine between the averaged occupation and the
     eigenvector centrality of the extended graph. ``use_limiting`` replaces
-    the finite-horizon average with the exact spectral limit.
+    the finite-horizon average with the exact spectral limit. Two particles
+    on ``base`` reach every extended vertex exactly when ``base`` is
+    connected, so connectivity is checked on the base graph.
     """
-    _, ext_g = extended_graph(base, kind)
-    if ext_g.n > 300:
-        raise ValueError("extended dimension exceeds the supported budget (300)")
-    h_ext = HermitianOperator.from_graph(ext_g)
-    psi0 = uniform_state(ext_g.n)
+    if not base.is_connected():
+        raise ValueError("eigenvector centrality requires a connected graph")
+    _, h_ext = build_extended_hamiltonian(base, kind)
+    psi0 = uniform_state(h_ext.dim)
     if use_limiting:
         qw_scores = limiting_distribution(h_ext, psi0)
     else:
         qw_scores = time_average_distribution(h_ext, psi0, t_final, steps)
-    ev_scores = eigenvector_centrality(ext_g)
+    ev_scores = _perron(h_ext)
     cos = float(qw_scores @ ev_scores / (np.linalg.norm(qw_scores) * np.linalg.norm(ev_scores)))
     return CentralityReport(
         qw_scores=qw_scores,
@@ -138,9 +142,11 @@ def spatial_search(g: Graph, marked, start=None, gamma_strategy="auto",
     """
     n = g.n
     marked = _vertex_set(marked, n, "marked")
-    a = g.adjacency()
     if horizon is None:
         horizon = float(np.sqrt(n))
+    if not horizon > 0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    a = g.adjacency()
     oracle = np.zeros((n, n))
     for m in marked:
         oracle[m, m] = 1.0

@@ -50,6 +50,7 @@ from .graphs import (
 from .particles import (
     BOSON,
     ParticleKind,
+    _pair_operator,
     correlation_via_extended_walk,
     extended_graph,
     two_particle_correlation,
@@ -155,14 +156,16 @@ def _base_graph(family, size, p, m, seed, graph_file):
 
 
 def _dyn_setup(family: str, size: int | None):
-    """Size, extended boson graph and corner start/target for hitting/mixing."""
+    """Size, extended boson graph, its quantum operator (factorized when first
+    called for) and corner start/target for hitting/mixing."""
     if family not in DYN_FAMILIES:
         raise ValueError(f"family must be one of {', '.join(DYN_FAMILIES)}")
     base_family, default_size = DYN_FAMILIES[family]
     size = default_size if size is None else size
     base = GENERATORS[base_family](size)
     basis, ext = extended_graph(base, BOSON)
-    return size, ext, basis.index(0, 0), basis.index(base.n - 1, base.n - 1)
+    operator = functools.partial(_pair_operator, base, basis, ext)
+    return size, ext, operator, basis.index(0, 0), basis.index(base.n - 1, base.n - 1)
 
 
 def _unset_to_default(walker: str, experiment: str, **options) -> dict:
@@ -173,10 +176,10 @@ def _unset_to_default(walker: str, experiment: str, **options) -> dict:
 
 def _hitting(setup, walker: str, t_max=None, dt=None):
     """Corner-to-corner hitting of one walker; returns the result and its grid."""
-    _, ext, start, target = setup
+    _, ext, operator, start, target = setup
     grid = _unset_to_default(walker, "hitting", t_max=t_max, dt=dt)
     if walker == "quantum":
-        res = quantum_hitting(HermitianOperator.from_graph(ext), start, target, **grid)
+        res = quantum_hitting(operator(), start, target, **grid)
     else:
         res = classical_hitting(ext, start, target, **grid)
     return res, grid
@@ -185,11 +188,10 @@ def _hitting(setup, walker: str, t_max=None, dt=None):
 def _mixing(setup, walker: str, eps: float, dt: float, horizon=None):
     """Epsilon-mixing of one walker from the start corner; returns the result
     and its horizon."""
-    _, ext, start, _ = setup
+    _, ext, operator, start, _ = setup
     horizon = _unset_to_default(walker, "mixing", horizon=horizon)["horizon"]
     if walker == "quantum":
-        h = HermitianOperator.from_graph(ext)
-        res = quantum_mixing_time(h, basis_state(ext.n, start), eps, horizon, dt)
+        res = quantum_mixing_time(operator(), basis_state(ext.n, start), eps, horizon, dt)
     else:
         res = classical_mixing_time(ext, basis_state(ext.n, start).real, eps, horizon, dt)
     return res, horizon
@@ -336,7 +338,10 @@ def correlate_cmd(ctx, graph_file, family, size, p, m, particles, inputs, t):
     """Two-particle output correlations through U = exp(-iAt)."""
     g = _base_graph(family, size, p, m, ctx.obj["seed"], graph_file)
     kind = ParticleKind.parse(particles)
-    a, b = (int(x) for x in inputs.split(","))
+    try:
+        a, b = (int(x) for x in inputs.split(","))
+    except ValueError:
+        raise ValueError(f"--inputs a,b takes two comma-separated integers, got {inputs!r}") from None
     u = HermitianOperator.from_graph(g).propagator(t)
     basis, probs = two_particle_correlation(u, (a, b), kind)
     payload = {"basis": basis.to_json_list(), "probabilities": probs}
@@ -361,7 +366,7 @@ def correlate_cmd(ctx, graph_file, family, size, p, m, particles, inputs, t):
 def hitting_cmd(ctx, family, size, walker, t_max, dt):
     """Corner-to-corner hitting on a boson-extended graph."""
     setup = _dyn_setup(family, size)
-    size, ext, start, target = setup
+    size, ext, _, start, target = setup
     res, grid = _hitting(setup, walker, t_max, dt)
     csv_path = Path(ctx.obj["out_dir"]) / f"hitting_{family}_{walker}.csv"
     _write_csv(csv_path, ["t", "p_target"], zip(res.times, res.profile))
@@ -389,7 +394,7 @@ def hitting_cmd(ctx, family, size, walker, t_max, dt):
 def mixing_cmd(ctx, family, size, walker, eps, horizon, dt):
     """Epsilon-mixing time on a boson-extended graph."""
     setup = _dyn_setup(family, size)
-    size, ext, _, _ = setup
+    size, ext, *_ = setup
     res, horizon = _mixing(setup, walker, eps, dt, horizon)
     csv_path = Path(ctx.obj["out_dir"]) / f"mixing_{family}_{walker}.csv"
     _write_csv(csv_path, ["t", "tv_distance"], zip(res.times, res.trace))

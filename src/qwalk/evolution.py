@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import _MAX_DENSE_VALUES, Graph
 
 __all__ = [
     "HermitianOperator",
@@ -33,10 +33,6 @@ __all__ = [
 ]
 
 _HERMITICITY_TOL = 1e-10
-
-# Largest spectral series a time grid may ask for: state dimension x time
-# points, in complex values (2**26 of them take 1 GiB).
-_MAX_SERIES_VALUES = 2**26
 
 
 class HermitianOperator:
@@ -67,13 +63,17 @@ class HermitianOperator:
     def spectral_decompose(self):
         """Ascending eigenvalues and orthonormal eigenvector columns (cached)."""
         if self._eigenvalues is None:
-            w, v = np.linalg.eigh(self.entries)
-            recon = (v * w) @ v.conj().T
-            if np.abs(recon - self.entries).max() > 1e-8 * max(self.dim, 1):
-                raise ArithmeticError("spectral decomposition failed to reconstruct")
-            self._eigenvalues = w
-            self._eigenvectors = v
+            self._set_spectrum(*np.linalg.eigh(self.entries))
         return self._eigenvalues, self._eigenvectors
+
+    def _set_spectrum(self, w, v) -> None:
+        """Cache ascending eigenvalues ``w`` and eigenvector columns ``v``
+        once they reconstruct the matrix."""
+        recon = (v * w) @ v.conj().T
+        if np.abs(recon - self.entries).max() > 1e-8 * max(self.dim, 1):
+            raise ArithmeticError("spectral decomposition failed to reconstruct")
+        self._eigenvalues = w
+        self._eigenvectors = v
 
     def propagator(self, t: float) -> np.ndarray:
         """Unitary exp(-i H t)."""
@@ -94,10 +94,10 @@ def _series(w, rows, coeffs, times, rate) -> np.ndarray:
 
 
 def _check_series_size(dim: int, points: float) -> None:
-    """Refuse a time grid whose spectral series would exceed _MAX_SERIES_VALUES;
-    called before the grid or the series is allocated."""
+    """Refuse a time grid whose spectral series would exceed _MAX_DENSE_VALUES
+    complex values; called before the grid or the series is allocated."""
     values = dim * points
-    if values > _MAX_SERIES_VALUES:
+    if values > _MAX_DENSE_VALUES:
         raise ValueError(
             f"time grid of {points:.3g} points on {dim} states needs {values:.3g} complex "
             f"values ({values * 16 / 2**30:.3g} GiB), over the limit of 2**26 (1 GiB); "

@@ -32,6 +32,11 @@ __all__ = [
 
 _CONNECTIVITY_RETRY_CAP = 100
 
+# Largest dense array the package builds, in values: an n x n adjacency
+# (2**26 reals take 512 MiB) or a time grid's spectral series (2**26
+# complex values take 1 GiB).
+_MAX_DENSE_VALUES = 2**26
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -78,8 +83,14 @@ class Graph:
         return cls(n=int(n), edges=edges, labels=labels, layer_of=layer_of)
 
     def adjacency(self) -> np.ndarray:
-        """Dense symmetric adjacency matrix (cached)."""
+        """Dense symmetric adjacency matrix (cached); refused before it is
+        allocated when n^2 exceeds _MAX_DENSE_VALUES."""
         if self._adj is None:
+            values = self.n**2
+            if values > _MAX_DENSE_VALUES:
+                raise ValueError(
+                    f"dense adjacency of {self.n} vertices needs {values:.3g} values "
+                    f"({values * 8 / 2**20:.3g} MiB), over the limit of 2**26 (512 MiB)")
             A = np.zeros((self.n, self.n))
             for u, v, w in self.edges:
                 A[u, v] = w

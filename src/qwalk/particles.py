@@ -3,10 +3,13 @@
 A two-particle walk on an n-vertex graph is equivalent to a single-particle
 walk on an extended graph whose size depends on the exchange symmetry:
 n^2 states for distinguishable particles, C(n+1, 2) for bosons and
-C(n, 2) for fermions. ``two_particle_correlation`` computes output
-correlations directly from the single-particle unitary (permanent /
+C(n, 2) for fermions. The extended operator of non-interacting particles
+takes its spectrum from the base graph's: eigenvalues w_a + w_b and
+eigenvectors from the pair rule. ``two_particle_correlation`` computes
+output correlations directly from the single-particle unitary (permanent /
 determinant forms) and serves as the independent oracle for the
-extended-walk route.
+extended-walk route, whose dense factorization survives only in
+``correlation_via_extended_walk``.
 """
 
 from __future__ import annotations
@@ -161,10 +164,36 @@ def build_extended_hamiltonian(g: Graph, kind: ParticleKind) -> tuple[ExtendedBa
     """Adjacency of the extended graph: S (A(x)I + I(x)A) S^dag.
 
     Real symmetric; for an unweighted base graph the bosonic off-diagonal
-    entries are 0, 1 or sqrt(2).
+    entries are 0, 1 or sqrt(2). Its spectrum comes from one eigh of the
+    base graph, not of the extended matrix.
     """
     basis, ext = extended_graph(g, kind)
-    return basis, HermitianOperator.from_graph(ext)
+    return basis, _pair_operator(g, basis, ext)
+
+
+def _pair_operator(g: Graph, basis: ExtendedBasis, ext: Graph) -> HermitianOperator:
+    """The extended graph ``ext`` of ``g`` as an operator factorized from g.
+
+    With base eigenpairs (w, V), each basis pair (a, b) gives the eigenvalue
+    w_a + w_b and the eigenvector whose state (i, j) entry is the pair rule
+    V_ia V_jb + xi V_ib V_ja, over sqrt(2) for each doubly occupied mode of
+    a boson pair. The factorization must reconstruct the extended adjacency.
+    """
+    entries = ext.adjacency()  # refuses an oversized extension before the dim^2 arrays
+    w, v = HermitianOperator.from_graph(g).spectral_decompose()
+    first, second = basis._modes
+    order = np.argsort(w[first] + w[second], kind="stable")
+    a, b = first[order], second[order]  # eigenvector pairs, ascending in w_a + w_b
+    xi = {"distinguishable": 0.0, "boson": 1.0, "fermion": -1.0}[basis.kind.tag]
+    vi, vj = v[first], v[second]  # one row per state (i, j)
+    vecs = vi[:, a] * vj[:, b]
+    vecs += xi * (vi[:, b] * vj[:, a])
+    if basis.kind.tag == "boson":
+        vecs[first == second] /= math.sqrt(2)  # doubly occupied states
+        vecs[:, a == b] /= math.sqrt(2)  # doubly occupied pairs
+    h = HermitianOperator(entries)
+    h._set_spectrum(w[a] + w[b], vecs)
+    return h
 
 
 def _check_unitary(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -205,14 +234,16 @@ def two_particle_correlation(u, inputs: tuple[int, int], kind: ParticleKind) -> 
 
 
 def correlation_via_extended_walk(g: Graph, kind: ParticleKind, inputs: tuple[int, int], t: float) -> tuple[ExtendedBasis, np.ndarray]:
-    """Cross-check route: single-particle walk on the extended graph.
+    """Cross-check route: single-particle walk on the extended graph, factorized
+    as a dense matrix.
 
     Must match ``two_particle_correlation(exp(-iAt), inputs, kind)``
     elementwise.
     """
     if kind.tag == "phased":
         raise ValueError("phased exchange is only available via correlations")
-    basis, h_ext = build_extended_hamiltonian(g, kind)
+    basis, ext = extended_graph(g, kind)
+    h_ext = HermitianOperator.from_graph(ext)  # the dense eigh of the extended matrix
     start = basis.index(*inputs)
     psi = evolve_quantum(h_ext, basis_state(len(basis), start), t)
     return basis, measure(psi)

@@ -7,6 +7,7 @@ import pytest
 
 from qwalk import (
     BOSON,
+    HermitianOperator,
     brute_force_isomorphic,
     eigenvector_centrality,
     extended_graph,
@@ -18,9 +19,12 @@ from qwalk import (
     generate_star,
     gi_test,
     graph_certificate,
+    limiting_distribution,
     permute_graph,
     qw_centrality,
     spatial_search,
+    time_average_distribution,
+    uniform_state,
 )
 from qwalk.graphs import Graph
 
@@ -47,6 +51,11 @@ def test_eigenvector_centrality_rejects_disconnected():
     g = Graph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
     with pytest.raises(ValueError):
         eigenvector_centrality(g)
+
+
+def test_qw_centrality_rejects_disconnected_base():
+    with pytest.raises(ValueError, match="connected"):
+        qw_centrality(Graph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)]))
 
 
 def test_qw_centrality_scale_free():
@@ -80,9 +89,25 @@ def test_qw_centrality_horizon_convergence():
     assert 0.5 * np.abs(r500.qw_scores - r1000.qw_scores).sum() < 1e-2
 
 
-def test_qw_centrality_dimension_budget():
-    with pytest.raises(ValueError):
-        qw_centrality(generate_cycle(30))  # extended dim 465 > 300
+def test_qw_centrality_cycle30_matches_dense_route():
+    # 465 extended states
+    base = generate_cycle(30)
+    _, ext = extended_graph(base, BOSON)
+    dense = HermitianOperator.from_graph(ext)
+    psi0 = uniform_state(ext.n)
+    ev_scores = eigenvector_centrality(ext)
+    for limiting, qw_scores in ((True, limiting_distribution(dense, psi0)),
+                                (False, time_average_distribution(dense, psi0, 1000.0, 1000))):
+        rep = qw_centrality(base, use_limiting=limiting)
+        assert np.abs(rep.qw_scores - qw_scores).max() <= 1e-10
+        assert np.abs(rep.ev_scores - ev_scores).max() <= 1e-10
+
+
+def test_extended_readouts_factor_only_the_base_graph(eigh_calls):
+    base = generate_erdos_renyi(9, 0.4, seed=8)
+    qw_centrality(base)
+    graph_certificate(base)
+    assert eigh_calls == [(9, 9), (9, 9)]
 
 
 # -- spatial search ------------------------------------------------------
@@ -92,6 +117,12 @@ def test_search_two_level():
     g = generate_path(2)
     res = spatial_search(g, marked=[1], start=[0], horizon=5.0)
     assert res.success > 0.9
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0])
+def test_search_rejects_nonpositive_horizon(horizon):
+    with pytest.raises(ValueError, match=f"horizon must be positive, got {horizon}"):
+        spatial_search(generate_cycle(5), marked=[1], horizon=horizon)
 
 
 def test_search_empty_marked_rejected():

@@ -53,6 +53,31 @@ def test_correlate_cross_check(runner, tmp_path):
     assert abs(sum(report["probabilities"]) - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("inputs", ["0", "0,1,2", "0,x", ""])
+def test_correlate_malformed_inputs_exit_2(runner, tmp_path, inputs):
+    result = runner.invoke(main, ["--out-dir", str(tmp_path), "correlate", "--family", "cycle",
+                                  "--size", "4", "--inputs", inputs])
+    assert result.exit_code == 2, result.output
+    assert f"--inputs a,b takes two comma-separated integers, got {inputs!r}" in result.output
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+def test_search_nonpositive_horizon_exit_2(runner, tmp_path, horizon):
+    result = runner.invoke(main, ["--out-dir", str(tmp_path), "search", "--n", "5",
+                                  "--horizon", horizon])
+    assert result.exit_code == 2, result.output
+    assert f"horizon must be positive, got {float(horizon)}" in result.output
+    assert not any(tmp_path.iterdir())
+
+
+def test_oversized_extended_graph_exit_2(runner, tmp_path):
+    result = runner.invoke(main, ["--out-dir", str(tmp_path), "centrality", "--n", "130"])
+    assert result.exit_code == 2, result.output
+    assert "dense adjacency of 8515 vertices" in result.output
+    assert "over the limit of 2**26" in result.output
+
+
 def test_hitting_report(runner, tmp_path):
     _run(runner, ["--out-dir", str(tmp_path), "hitting", "--family", "ecube",
                   "--walker", "quantum", "--t-max", "5", "--dt", "0.01"])

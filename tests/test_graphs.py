@@ -52,6 +52,13 @@ def test_adjacency_symmetric_zero_diagonal():
     assert np.all(np.diag(a) == 0)
 
 
+def test_adjacency_refuses_oversized_graph_before_allocating():
+    g = Graph.from_edges(9000, [])
+    with pytest.raises(ValueError, match=r"9000 vertices needs 8.1e\+07 values .*over the limit of 2\*\*26"):
+        g.adjacency()
+    assert g._adj is None
+
+
 def test_json_round_trip(tmp_path):
     g = generate_glued_tree(5)
     path = tmp_path / "g.json"

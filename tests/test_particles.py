@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,6 +175,29 @@ def test_edge_built_extension_matches_dense_oracle(g, tag):
     assert h.entries.dtype == np.float64
     assert h.dim == len(basis)
     assert np.abs(h.entries - _dense_extended(g, kind)).max() <= 1e-12
+
+
+@given(g=_weighted_graphs(), tag=st.sampled_from(["distinguishable", "boson", "fermion"]))
+@settings(max_examples=60, deadline=None)
+def test_pair_factorization_matches_dense_eigh(g, tag):
+    _, h = build_extended_hamiltonian(g, ParticleKind(tag))
+    dense = HermitianOperator(h.entries)
+    assert np.abs(h.spectral_decompose()[0] - dense.spectral_decompose()[0]).max() <= 1e-10
+    times = np.linspace(0.0, 3.0, 7)
+    psi0 = np.random.default_rng(g.n).normal(size=h.dim) + 0j
+    psi0 /= np.linalg.norm(psi0)
+    assert np.abs(h.evolve_many(psi0, times) - dense.evolve_many(psi0, times)).max() <= 1e-10
+
+
+def test_readme_quickstart_runs_verbatim(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library quickstart", 1)[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    hitting, correlation = capsys.readouterr().out.splitlines()
+    efficiency = float(hitting.split()[1])
+    assert 0.9 < efficiency <= 1.0
+    assert math.isclose(float(correlation), efficiency, abs_tol=1e-9)
 
 
 # -- correlations --------------------------------------------------------
