@@ -66,10 +66,16 @@ def qw_centrality(base: Graph, kind: ParticleKind = BOSON, t_final: float = 1000
     The walk starts from the uniform superposition over extended vertices;
     similarity is the cosine between the averaged occupation and the
     eigenvector centrality of the extended graph. ``use_limiting`` replaces
-    the finite-horizon average with the exact spectral limit. Two particles
-    on ``base`` reach every extended vertex exactly when ``base`` is
-    connected, so connectivity is checked on the base graph.
+    the finite-horizon average with the exact spectral limit. Only boson and
+    distinguishable pairs are accepted: the fermion extended graph carries
+    negative exchange signs and a phased pair has none that is real, so
+    neither has a Perron vector. Two particles on ``base`` reach every
+    extended vertex exactly when ``base`` is connected, so connectivity is
+    checked on the base graph.
     """
+    if kind.tag not in ("boson", "distinguishable"):
+        raise ValueError(f"centrality takes boson or distinguishable pairs; a {kind.tag} "
+                         "extended graph has no nonnegative real weights, so no Perron vector")
     if not base.is_connected():
         raise ValueError("eigenvector centrality requires a connected graph")
     _, h_ext = build_extended_hamiltonian(base, kind)
@@ -135,10 +141,11 @@ def spatial_search(g: Graph, marked, start=None, gamma_strategy="auto",
 
     The walker starts in the uniform superposition over ``start`` (all
     vertices when None). For gamma_strategy="auto", gamma is tuned to
-    maximize the peak success probability over (0, 2 / lambda_max] by a
-    coarse scan followed by golden-section refinement (1e-3 relative
-    tolerance); the default horizon sqrt(n) keeps the tuner on the fast
-    resonance, which is what makes t_opt scale as sqrt(n).
+    maximize the peak success probability over (0, 2 / lambda_max] by the
+    same grid-then-Brent peak finder that refines t_opt: a 25-point scan,
+    refined between the grid neighbours of its best point; the default
+    horizon sqrt(n) keeps the tuner on the fast resonance, which is what
+    makes t_opt scale as sqrt(n).
     """
     n = g.n
     marked = _vertex_set(marked, n, "marked")
@@ -148,14 +155,10 @@ def spatial_search(g: Graph, marked, start=None, gamma_strategy="auto",
         raise ValueError(f"horizon must be positive, got {horizon}")
     a = g.adjacency()
     oracle = np.zeros((n, n))
-    for m in marked:
-        oracle[m, m] = 1.0
-    if start is None:
-        psi0 = np.full(n, 1.0 / np.sqrt(n), dtype=complex)
-    else:
-        start = _vertex_set(start, n, "start")
-        psi0 = np.zeros(n, dtype=complex)
-        psi0[start] = 1.0 / np.sqrt(len(start))
+    oracle[marked, marked] = 1.0
+    start = range(n) if start is None else _vertex_set(start, n, "start")
+    psi0 = np.zeros(n, dtype=complex)
+    psi0[start] = 1.0 / np.sqrt(len(start))
     lam_max = float(np.linalg.eigvalsh(a).max())
 
     def peak_for(gamma: float):
@@ -164,27 +167,7 @@ def spatial_search(g: Graph, marked, start=None, gamma_strategy="auto",
 
     if gamma_strategy == "auto":
         grid = np.linspace(0.01 / lam_max, 2.0 / lam_max, 25)
-        heights = [peak_for(gv)[1] for gv in grid]
-        k = int(np.argmax(heights))
-        lo = grid[max(k - 1, 0)]
-        hi = grid[min(k + 1, len(grid) - 1)]
-        gr = (np.sqrt(5.0) - 1.0) / 2.0
-        c = hi - gr * (hi - lo)
-        d = lo + gr * (hi - lo)
-        fc = peak_for(c)[1]
-        fd = peak_for(d)[1]
-        while (hi - lo) / max(hi, 1e-12) > 1e-3:
-            if fc > fd:
-                hi, d, fd = d, c, fc
-                c = hi - gr * (hi - lo)
-                fc = peak_for(c)[1]
-            else:
-                lo, c, fc = c, d, fd
-                d = lo + gr * (hi - lo)
-                fd = peak_for(d)[1]
-        gamma = (lo + hi) / 2.0
-        if peak_for(gamma)[1] < heights[k]:
-            gamma = float(grid[k])
+        gamma = _refined_peak(lambda gs: np.array([peak_for(gv)[1] for gv in gs]), grid)[0]
     else:
         gamma = float(gamma_strategy)
     t_opt, success = peak_for(gamma)

@@ -70,7 +70,7 @@ def _check_grid(t_max: float, dt: float, dim: int):
 def _refined_peak(f, times: np.ndarray) -> tuple[float, float, np.ndarray]:
     """Grid argmax of the vectorized readout ``f``, refined by bounded Brent.
 
-    Returns the peak time, the peak value and ``f(times)``. The refinement
+    Returns the peak point, the peak value and ``f(times)``. The refinement
     searches between the two grid neighbours of the argmax and never
     returns less than the grid maximum.
     """

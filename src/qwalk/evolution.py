@@ -49,6 +49,8 @@ class HermitianOperator:
         M = M.astype(complex if np.iscomplexobj(M) else float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("operator must be a square matrix")
+        if not np.isfinite(M).all():
+            raise ValueError("operator entries must be finite")
         if np.abs(M - M.conj().T).max() > _HERMITICITY_TOL:
             raise ValueError("matrix is not Hermitian")
         self.entries = M
@@ -77,6 +79,8 @@ class HermitianOperator:
 
     def propagator(self, t: float) -> np.ndarray:
         """Unitary exp(-i H t)."""
+        if not np.isfinite(t):
+            raise ValueError(f"time must be finite, got {t}")
         w, v = self.spectral_decompose()
         return (v * np.exp(-1j * w * t)) @ v.conj().T
 
@@ -89,7 +93,10 @@ class HermitianOperator:
 def _series(w, rows, coeffs, times, rate) -> np.ndarray:
     """The spectral series rows @ exp(rate * Lambda * t) coeffs, one column per
     time point: rate -1j evolves a quantum state, rate 1 a classical distribution."""
-    phases = np.exp(rate * w[:, None] * np.asarray(times, dtype=float))
+    times = np.asarray(times, dtype=float)
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
+    phases = np.exp(rate * w[:, None] * times)
     return rows @ (phases * coeffs[:, None])
 
 

@@ -38,6 +38,16 @@ _CONNECTIVITY_RETRY_CAP = 100
 _MAX_DENSE_VALUES = 2**26
 
 
+def _check_dense_size(n: int) -> None:
+    """Refuse an n-vertex dense adjacency over _MAX_DENSE_VALUES values, before
+    it or the edges of a graph built to fill it are allocated."""
+    values = n**2
+    if values > _MAX_DENSE_VALUES:
+        raise ValueError(
+            f"dense adjacency of {n} vertices needs {values:.3g} values "
+            f"({values * 8 / 2**20:.3g} MiB), over the limit of 2**26 (512 MiB)")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple weighted undirected graph.
@@ -86,11 +96,7 @@ class Graph:
         """Dense symmetric adjacency matrix (cached); refused before it is
         allocated when n^2 exceeds _MAX_DENSE_VALUES."""
         if self._adj is None:
-            values = self.n**2
-            if values > _MAX_DENSE_VALUES:
-                raise ValueError(
-                    f"dense adjacency of {self.n} vertices needs {values:.3g} values "
-                    f"({values * 8 / 2**20:.3g} MiB), over the limit of 2**26 (512 MiB)")
+            _check_dense_size(self.n)
             A = np.zeros((self.n, self.n))
             for u, v, w in self.edges:
                 A[u, v] = w

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import HermitianOperator, as_distribution, basis_state, evolve_quantum, measure
-from .graphs import Graph, cartesian_power
+from .graphs import Graph, _check_dense_size, cartesian_power
 
 __all__ = [
     "ParticleKind",
@@ -142,6 +142,7 @@ def extended_graph(g: Graph, kind: ParticleKind) -> tuple[ExtendedBasis, Graph]:
     if kind.tag == "phased":
         raise ValueError("phased exchange has no real extended graph; use correlations")
     basis = ExtendedBasis(g.n, kind)
+    _check_dense_size(len(basis))  # before any extended edge is built
     if kind.tag == "distinguishable":
         return basis, cartesian_power(g)
     # one row per base edge, one column per spectator k

@@ -7,8 +7,11 @@ import pytest
 
 from qwalk import (
     BOSON,
+    DISTINGUISHABLE,
+    FERMION,
     HermitianOperator,
     brute_force_isomorphic,
+    cartesian_power,
     eigenvector_centrality,
     extended_graph,
     generate_complete,
@@ -21,11 +24,13 @@ from qwalk import (
     graph_certificate,
     limiting_distribution,
     permute_graph,
+    phased,
     qw_centrality,
     spatial_search,
     time_average_distribution,
     uniform_state,
 )
+from qwalk.applications import _search_peak
 from qwalk.graphs import Graph
 
 
@@ -103,6 +108,19 @@ def test_qw_centrality_cycle30_matches_dense_route():
         assert np.abs(rep.ev_scores - ev_scores).max() <= 1e-10
 
 
+@pytest.mark.parametrize("kind", [FERMION, phased(0.4)], ids=["fermion", "phased"])
+def test_qw_centrality_refuses_kinds_without_perron_vector(kind, monkeypatch):
+    monkeypatch.setattr("qwalk.applications.build_extended_hamiltonian", None)  # nothing built
+    with pytest.raises(ValueError, match=f"boson or distinguishable pairs; a {kind.tag} "):
+        qw_centrality(generate_cycle(5), kind)
+
+
+def test_qw_centrality_distinguishable_perron_is_cartesian_square():
+    base = generate_cycle(5)
+    rep = qw_centrality(base, DISTINGUISHABLE)
+    assert np.abs(rep.ev_scores - eigenvector_centrality(cartesian_power(base))).max() <= 1e-10
+
+
 def test_extended_readouts_factor_only_the_base_graph(eigh_calls):
     base = generate_erdos_renyi(9, 0.4, seed=8)
     qw_centrality(base)
@@ -155,6 +173,62 @@ def test_search_extended_er_instance():
     assert 0 <= res.success <= 1
     assert res.t_opt <= math.sqrt(ext.n) + 1e-9
     assert res.success > res.t_opt * 0  # sanity: well-defined numbers
+
+
+def _golden_section_search(g, marked):
+    """The gamma tuner spatial_search had before it shared _refined_peak with
+    the t_opt refinement, kept as the reference: the same 25-point scan, then
+    golden-section refinement between the best point's grid neighbours to a
+    1e-3 relative width, falling back to the best grid point when the refined
+    gamma does worse. Returns the tuned gamma, its peak success and the grid
+    maximum."""
+    n = g.n
+    a = g.adjacency()
+    oracle = np.zeros((n, n))
+    for m in marked:
+        oracle[m, m] = 1.0
+    psi0 = np.full(n, 1.0 / np.sqrt(n), dtype=complex)
+    lam_max = float(np.linalg.eigvalsh(a).max())
+
+    def peak_for(gamma):
+        return _search_peak(HermitianOperator(gamma * a + oracle), psi0, marked, math.sqrt(n))
+
+    grid = np.linspace(0.01 / lam_max, 2.0 / lam_max, 25)
+    heights = [peak_for(gv)[1] for gv in grid]
+    k = int(np.argmax(heights))
+    lo = grid[max(k - 1, 0)]
+    hi = grid[min(k + 1, len(grid) - 1)]
+    gr = (np.sqrt(5.0) - 1.0) / 2.0
+    c = hi - gr * (hi - lo)
+    d = lo + gr * (hi - lo)
+    fc = peak_for(c)[1]
+    fd = peak_for(d)[1]
+    while (hi - lo) / max(hi, 1e-12) > 1e-3:
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - gr * (hi - lo)
+            fc = peak_for(c)[1]
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + gr * (hi - lo)
+            fd = peak_for(d)[1]
+    gamma = (lo + hi) / 2.0
+    if peak_for(gamma)[1] < heights[k]:
+        gamma = float(grid[k])
+    return gamma, peak_for(gamma)[1], max(heights)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_search_tuner_matches_golden_section_reference(seed):
+    # boson-extended G(n, 0.25), n = 5..8, three marked extended vertices
+    _, ext = extended_graph(generate_erdos_renyi(5 + seed % 4, 0.25, seed=seed), BOSON)
+    rng = np.random.default_rng(seed)
+    marked = sorted(int(x) for x in rng.choice(ext.n, size=3, replace=False))
+    ref_gamma, ref_success, grid_max = _golden_section_search(ext, marked)
+    res = spatial_search(ext, marked)
+    assert res.success >= ref_success - 1e-12
+    assert abs(res.gamma - ref_gamma) <= 1e-3 * ref_gamma
+    assert res.success >= grid_max
 
 
 # -- graph certificates --------------------------------------------------

@@ -78,6 +78,23 @@ def test_oversized_extended_graph_exit_2(runner, tmp_path):
     assert "over the limit of 2**26" in result.output
 
 
+@pytest.mark.parametrize("args", [
+    ["search", "--gamma", "nan"],
+    ["search", "--gamma", "inf"],
+    ["topo", "--v", "nan"],
+    ["topo", "--t-final", "nan"],
+    ["correlate", "--family", "cycle", "--size", "4", "--time", "nan"],
+    ["centrality", "--finite-horizon", "--t-final", "nan"],
+    ["evolve", "--family", "cycle", "--size", "4", "--t-final", "nan"],
+], ids=["search-gamma-nan", "search-gamma-inf", "topo-v", "topo-t", "correlate-time",
+        "centrality-t", "evolve-t"])
+def test_non_finite_option_exit_2(runner, tmp_path, args):
+    result = runner.invoke(main, ["--out-dir", str(tmp_path)] + args)
+    assert result.exit_code == 2, result.output
+    assert "must be finite" in result.output
+    assert not any(tmp_path.iterdir())
+
+
 def test_hitting_report(runner, tmp_path):
     _run(runner, ["--out-dir", str(tmp_path), "hitting", "--family", "ecube",
                   "--walker", "quantum", "--t-max", "5", "--dt", "0.01"])

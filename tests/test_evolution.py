@@ -67,6 +67,19 @@ def test_rejects_non_hermitian():
         HermitianOperator([[0, 1], [0, 0]])
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_input_refused(value):
+    with pytest.raises(ValueError, match="entries must be finite"):
+        HermitianOperator([[0, value], [value, 0]])
+    h = HermitianOperator([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match=f"time must be finite, got {value}"):
+        h.propagator(value)
+    with pytest.raises(ValueError, match="times must be finite"):
+        h.evolve_many(basis_state(2, 0), [0.0, value])
+    with pytest.raises(ValueError, match="times must be finite"):
+        evolve_classical(generate_path(2), [1.0, 0.0], value)
+
+
 # -- quantum evolution ---------------------------------------------------
 
 

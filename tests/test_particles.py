@@ -134,6 +134,19 @@ def test_distinguishable_extension_is_cartesian_square():
                        np.kron(a, np.eye(4)) + np.kron(np.eye(4), a))
 
 
+@pytest.mark.parametrize("n, kind, states", [(128, BOSON, 8256), (129, FERMION, 8256),
+                                            (91, DISTINGUISHABLE, 8281)])
+def test_oversized_extension_refused_before_edges(n, kind, states, monkeypatch):
+    g = generate_cycle(n)
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("an extended edge was built")
+
+    monkeypatch.setattr(Graph, "from_edges", no_graph)
+    with pytest.raises(ValueError, match=f"dense adjacency of {states} vertices .* 2\\*\\*26"):
+        extended_graph(g, kind)
+
+
 def test_extended_graph_helper_matches_operator():
     g = generate_path(3)
     basis, eg = extended_graph(g, BOSON)
