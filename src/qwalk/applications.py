@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,14 +116,22 @@ class SearchResult:
 
 
 def _search_peak(h: HermitianOperator, psi0: np.ndarray, marked: list[int], horizon: float):
-    """Peak marked-set probability within the horizon and its time."""
+    """Peak marked-set probability within the horizon and its time.
+
+    The probability is a trigonometric sum whose frequencies are eigenvalue
+    differences, so its bandwidth is W = lambda_max - lambda_min and its
+    shortest period 2 pi / W. The uniform grid on [0, horizon] takes 8 points
+    per such period, and at least 32; the best grid point is then refined by
+    Brent between its neighbours.
+    """
     w, v = h.spectral_decompose()
     vm, coeff = v[marked, :], v.conj().T @ psi0
 
     def success(t):
         return (np.abs(_series(w, vm, coeff, t, -1j)) ** 2).sum(axis=0)
 
-    return _refined_peak(success, np.linspace(0.0, horizon, 600))[:2]
+    points = max(32, math.ceil(8 * (w[-1] - w[0]) * horizon / (2 * math.pi)) + 1)
+    return _refined_peak(success, np.linspace(0.0, horizon, points))[:2]
 
 
 def _vertex_set(vertices, n: int, name: str) -> list[int]:
@@ -140,12 +149,15 @@ def spatial_search(g: Graph, marked, start=None, gamma_strategy="auto",
     """Walk search with oracle Hamiltonian H = gamma * A + sum_w |w><w|.
 
     The walker starts in the uniform superposition over ``start`` (all
-    vertices when None). For gamma_strategy="auto", gamma is tuned to
+    vertices when None). Each gamma's peak is read from a time grid sized to
+    the bandwidth of its spectrum (8 points per shortest period, at least
+    32) and refined by Brent. For gamma_strategy="auto", gamma is tuned to
     maximize the peak success probability over (0, 2 / lambda_max] by the
-    same grid-then-Brent peak finder that refines t_opt: a 25-point scan,
-    refined between the grid neighbours of its best point; the default
-    horizon sqrt(n) keeps the tuner on the fast resonance, which is what
-    makes t_opt scale as sqrt(n).
+    same grid-then-Brent peak finder: a 25-point scan, refined between the
+    grid neighbours of its best point; the default horizon sqrt(n) keeps the
+    tuner on the fast resonance, which is what makes t_opt scale as sqrt(n).
+    Auto mode needs lambda_max > 0, i.e. an edge; a fixed gamma must be
+    finite.
     """
     n = g.n
     marked = _vertex_set(marked, n, "marked")
@@ -153,23 +165,28 @@ def spatial_search(g: Graph, marked, start=None, gamma_strategy="auto",
         horizon = float(np.sqrt(n))
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
+    auto = gamma_strategy == "auto"
+    if not auto:
+        gamma = float(gamma_strategy)
+        if not math.isfinite(gamma):
+            raise ValueError(f"gamma must be finite, got {gamma}")
     a = g.adjacency()
     oracle = np.zeros((n, n))
     oracle[marked, marked] = 1.0
     start = range(n) if start is None else _vertex_set(start, n, "start")
     psi0 = np.zeros(n, dtype=complex)
     psi0[start] = 1.0 / np.sqrt(len(start))
-    lam_max = float(np.linalg.eigvalsh(a).max())
 
     def peak_for(gamma: float):
         h = HermitianOperator(gamma * a + oracle)
         return _search_peak(h, psi0, marked, horizon)
 
-    if gamma_strategy == "auto":
+    if auto:
+        lam_max = float(np.linalg.eigvalsh(a).max())
+        if not lam_max > 0:
+            raise ValueError(f"auto gamma needs an edge (lambda_max > 0), got lambda_max {lam_max}")
         grid = np.linspace(0.01 / lam_max, 2.0 / lam_max, 25)
         gamma = _refined_peak(lambda gs: np.array([peak_for(gv)[1] for gv in gs]), grid)[0]
-    else:
-        gamma = float(gamma_strategy)
     t_opt, success = peak_for(gamma)
     return SearchResult(t_opt=t_opt, success=success, gamma=gamma)
 

@@ -30,7 +30,10 @@ from qwalk import (
     time_average_distribution,
     uniform_state,
 )
+from qwalk import applications
 from qwalk.applications import _search_peak
+from qwalk.dynamics import _refined_peak
+from qwalk.evolution import _series
 from qwalk.graphs import Graph
 
 
@@ -148,6 +151,28 @@ def test_search_empty_marked_rejected():
         spatial_search(generate_cycle(5), marked=[])
 
 
+def test_search_auto_gamma_refuses_edgeless_graph():
+    with pytest.raises(ValueError, match=r"auto gamma needs an edge \(lambda_max > 0\)"):
+        spatial_search(Graph.from_edges(3, []), [1])
+
+
+def test_search_fixed_gamma_skips_lambda_max(monkeypatch):
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("a fixed gamma needs no lambda_max")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    res = spatial_search(Graph.from_edges(3, []), [1], gamma_strategy=0.5)
+    assert res.gamma == 0.5
+    assert math.isclose(res.success, 1 / 3, abs_tol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan])
+def test_search_refuses_non_finite_gamma_without_warning(gamma):
+    with pytest.raises(ValueError, match=f"gamma must be finite, got {gamma}"):
+        spatial_search(generate_cycle(5), marked=[1], gamma_strategy=gamma)
+
+
 @pytest.mark.parametrize("marked, start", [([-1], None), ([5], None), ([1], [-1]), ([1], [0, 5])])
 def test_search_rejects_vertices_outside_graph(marked, start):
     with pytest.raises(ValueError, match="0..4"):
@@ -229,6 +254,86 @@ def test_search_tuner_matches_golden_section_reference(seed):
     assert res.success >= ref_success - 1e-12
     assert abs(res.gamma - ref_gamma) <= 1e-3 * ref_gamma
     assert res.success >= grid_max
+
+
+def _search_peak_600(h, psi0, marked, horizon):
+    """The search peak finder spatial_search had before its time grid was sized
+    to the spectrum's bandwidth, kept as the reference: the same readout and
+    Brent refinement on a fixed 600-point grid over [0, horizon]."""
+    w, v = h.spectral_decompose()
+    vm, coeff = v[marked, :], v.conj().T @ psi0
+
+    def success(t):
+        return (np.abs(_series(w, vm, coeff, t, -1j)) ** 2).sum(axis=0)
+
+    return _refined_peak(success, np.linspace(0.0, horizon, 600))[:2]
+
+
+def _er_search_instance(seed):
+    """Boson-extended G(n, 0.25), n = 5..10, and three marked extended vertices."""
+    _, ext = extended_graph(generate_erdos_renyi(5 + seed % 6, 0.25, seed=seed), BOSON)
+    rng = np.random.default_rng(seed)
+    return ext, sorted(int(x) for x in rng.choice(ext.n, size=3, replace=False))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_search_bandwidth_grid_matches_600_point_reference(seed, monkeypatch):
+    ext, marked = _er_search_instance(seed)
+    n = ext.n
+    a = ext.adjacency()
+    oracle = np.zeros((n, n))
+    oracle[marked, marked] = 1.0
+    psi0 = np.full(n, 1.0 / np.sqrt(n), dtype=complex)
+    gamma = 1.0 / float(np.linalg.eigvalsh(a)[-1])
+    h = HermitianOperator(gamma * a + oracle)
+    # at sqrt(n) most peaks sit on the horizon; 8 sqrt(n) spans several
+    # shortest periods and puts 19 of the 20 peaks inside, where the grid
+    # must find them
+    for horizon in (math.sqrt(n), 8 * math.sqrt(n)):
+        t_opt, success = _search_peak(h, psi0, marked, horizon)
+        ref_t, ref_success = _search_peak_600(h, psi0, marked, horizon)
+        assert success >= ref_success - 1e-12
+        assert abs(t_opt - ref_t) <= 1e-6
+
+    res = spatial_search(ext, marked)
+    monkeypatch.setattr(applications, "_search_peak", _search_peak_600)
+    ref = spatial_search(ext, marked)
+    assert abs(res.gamma - ref.gamma) <= 1e-6 * ref.gamma
+    assert res.success >= ref.success - 1e-12
+
+
+def _search_grid(monkeypatch, g, marked, gamma, horizon):
+    """The search result at a fixed gamma and the time grid it was read from."""
+    grids = []
+
+    def spy(f, times):
+        grids.append(times)
+        return _refined_peak(f, times)
+
+    monkeypatch.setattr(applications, "_refined_peak", spy)
+    res = spatial_search(g, marked, gamma_strategy=gamma, horizon=horizon)
+    (times,) = grids
+    return res, times
+
+
+def test_search_grid_resolves_the_bandwidth(monkeypatch):
+    g, horizon = generate_complete(12), 40.0
+    _, times = _search_grid(monkeypatch, g, [3], 1.0, horizon)
+    h = g.adjacency().copy()
+    h[3, 3] += 1.0
+    w = np.linalg.eigvalsh(h)
+    assert times[0] == 0.0 and times[-1] == horizon
+    assert np.allclose(np.diff(times), times[1])
+    assert len(times) > 32
+    assert times[1] <= 2 * math.pi / (w[-1] - w[0]) / 8
+
+
+def test_search_grid_floor_and_flat_spectrum(monkeypatch):
+    # H = I on two isolated marked vertices: bandwidth 0, success 1 throughout
+    res, times = _search_grid(monkeypatch, Graph.from_edges(2, []), [0, 1], 0.3, math.sqrt(2))
+    assert len(times) == 32
+    assert times[-1] == math.sqrt(2)
+    assert math.isclose(res.success, 1.0, abs_tol=1e-12)
 
 
 # -- graph certificates --------------------------------------------------
