@@ -10,6 +10,7 @@ import numpy as np
 from .dynamics import _refined_peak
 from .evolution import (
     HermitianOperator,
+    _check_series_size,
     _series,
     limiting_distribution,
     time_average_distribution,
@@ -130,7 +131,9 @@ def _search_peak(h: HermitianOperator, psi0: np.ndarray, marked: list[int], hori
     def success(t):
         return (np.abs(_series(w, vm, coeff, t, -1j)) ** 2).sum(axis=0)
 
-    points = max(32, math.ceil(8 * (w[-1] - w[0]) * horizon / (2 * math.pi)) + 1)
+    periods = 8 * float(w[-1] - w[0]) * horizon / (2 * math.pi)  # floats: overflow is a silent inf
+    _check_series_size(len(w), max(32, periods + 1))
+    points = max(32, math.ceil(periods) + 1)
     return _refined_peak(success, np.linspace(0.0, horizon, points))[:2]
 
 
@@ -156,20 +159,17 @@ def spatial_search(g: Graph, marked, start=None, gamma_strategy="auto",
     same grid-then-Brent peak finder: a 25-point scan, refined between the
     grid neighbours of its best point; the default horizon sqrt(n) keeps the
     tuner on the fast resonance, which is what makes t_opt scale as sqrt(n).
-    Auto mode needs lambda_max > 0, i.e. an edge; a fixed gamma must be
-    finite.
+    Auto mode needs lambda_max > 0, i.e. an edge; a fixed gamma and the
+    horizon must be finite, and a grid over 2**26 complex values is refused
+    before it is allocated.
     """
     n = g.n
     marked = _vertex_set(marked, n, "marked")
-    if horizon is None:
-        horizon = float(np.sqrt(n))
+    horizon = math.sqrt(n) if horizon is None else float(horizon)
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    auto = gamma_strategy == "auto"
-    if not auto:
-        gamma = float(gamma_strategy)
-        if not math.isfinite(gamma):
-            raise ValueError(f"gamma must be finite, got {gamma}")
+    if not math.isfinite(horizon):
+        raise ValueError(f"horizon must be finite, got {horizon}")
     a = g.adjacency()
     oracle = np.zeros((n, n))
     oracle[marked, marked] = 1.0
@@ -181,12 +181,16 @@ def spatial_search(g: Graph, marked, start=None, gamma_strategy="auto",
         h = HermitianOperator(gamma * a + oracle)
         return _search_peak(h, psi0, marked, horizon)
 
-    if auto:
+    if gamma_strategy == "auto":
         lam_max = float(np.linalg.eigvalsh(a).max())
         if not lam_max > 0:
             raise ValueError(f"auto gamma needs an edge (lambda_max > 0), got lambda_max {lam_max}")
         grid = np.linspace(0.01 / lam_max, 2.0 / lam_max, 25)
         gamma = _refined_peak(lambda gs: np.array([peak_for(gv)[1] for gv in gs]), grid)[0]
+    else:
+        gamma = float(gamma_strategy)
+        if not math.isfinite(gamma):
+            raise ValueError(f"gamma must be finite, got {gamma}")
     t_opt, success = peak_for(gamma)
     return SearchResult(t_opt=t_opt, success=success, gamma=gamma)
 

@@ -1,6 +1,7 @@
 """Centrality, spatial search, and isomorphism certificates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,34 @@ def test_search_rejects_nonpositive_horizon(horizon):
 def test_search_empty_marked_rejected():
     with pytest.raises(ValueError):
         spatial_search(generate_cycle(5), marked=[])
+
+
+def test_search_rejects_infinite_horizon():
+    with pytest.raises(ValueError, match="horizon must be finite, got inf"):
+        spatial_search(generate_cycle(5), marked=[1], horizon=math.inf)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1.5, 1e300])
+def test_search_refuses_oversized_time_grid_before_allocating(scale, monkeypatch):
+    # horizons whose bandwidth grid holds 1.5 times the 2**26-value limit, and
+    # one whose point count overflows to inf
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the oversized grid reached the peak finder")
+
+    monkeypatch.setattr(applications, "_refined_peak", no_grid)
+    h = generate_cycle(5).adjacency().copy()
+    h[1, 1] += 1.0
+    w = np.linalg.eigvalsh(h)
+    horizon = scale * 2**26 / 5 * 2 * math.pi / (8 * (w[-1] - w[0]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"on 5 states .* over the limit of 2\*\*26"):
+            spatial_search(generate_cycle(5), marked=[1], gamma_strategy=1.0, horizon=horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_search_auto_gamma_refuses_edgeless_graph():

@@ -83,13 +83,14 @@ def test_oversized_extended_graph_exit_2(runner, tmp_path):
     ["search", "--gamma", "nan"],
     ["search", "--gamma", "inf"],
     ["search", "--gamma", "-inf"],
+    ["search", "--horizon", "inf"],
     ["topo", "--v", "nan"],
     ["topo", "--t-final", "nan"],
     ["correlate", "--family", "cycle", "--size", "4", "--time", "nan"],
     ["centrality", "--finite-horizon", "--t-final", "nan"],
     ["evolve", "--family", "cycle", "--size", "4", "--t-final", "nan"],
-], ids=["search-gamma-nan", "search-gamma-inf", "search-gamma-minus-inf", "topo-v", "topo-t",
-        "correlate-time", "centrality-t", "evolve-t"])
+], ids=["search-gamma-nan", "search-gamma-inf", "search-gamma-minus-inf", "search-horizon",
+        "topo-v", "topo-t", "correlate-time", "centrality-t", "evolve-t"])
 def test_non_finite_option_exit_2(runner, tmp_path, args):
     result = runner.invoke(main, ["--out-dir", str(tmp_path)] + args)
     assert result.exit_code == 2, result.output
@@ -263,7 +264,9 @@ def test_nonpositive_grid_exit_2(runner, tmp_path, args, message):
     (["evolve", "--family", "cycle", "--size", "10", "--steps", "100000000"], "1e+08 points"),
     (["topo", "--steps", "1000000000"], "1e+09 points"),
     (["topo", "--probe", "amcqm", "--flavor", "bbh", "--steps", "1000000000"], "1e+09 points"),
-], ids=["hitting", "mixing", "evolve", "amcd", "amcqm"])
+    (["search", "--n", "5", "--horizon", "1e9"], "on 15 states"),
+    (["search", "--n", "5", "--gamma", "1", "--horizon", "1e308"], "inf points"),
+], ids=["hitting", "mixing", "evolve", "amcd", "amcqm", "search", "search-overflow"])
 def test_oversized_time_grid_exit_2(runner, tmp_path, args, message):
     result = runner.invoke(main, ["--out-dir", str(tmp_path)] + args)
     assert result.exit_code == 2, result.output
