@@ -160,8 +160,8 @@ def spatial_search(g: Graph, marked, start=None, gamma_strategy="auto",
     grid neighbours of its best point; the default horizon sqrt(n) keeps the
     tuner on the fast resonance, which is what makes t_opt scale as sqrt(n).
     Auto mode needs lambda_max > 0, i.e. an edge; a fixed gamma and the
-    horizon must be finite, and a grid over 2**26 complex values is refused
-    before it is allocated.
+    horizon must be finite, and a grid over 2**26 state-time values is
+    refused before it is allocated.
     """
     n = g.n
     marked = _vertex_set(marked, n, "marked")

@@ -18,6 +18,7 @@ from .evolution import (
     _check_series_size,
     _classical_spectrum,
     _series,
+    _series_blocks,
     _stationary,
     as_distribution,
     limiting_distribution,
@@ -145,15 +146,20 @@ def hitting_scaling(results: dict[int, HittingResult]) -> dict:
 
 def _mixing(eps: float, horizon: float, dt: float, dim: int, walk) -> MixingResult:
     """Earliest grid time after which the TV distance of ``walk`` to its
-    reference stays <= eps through the horizon; ``walk(times)`` returns the
-    reference and one distribution column over the ``dim`` states per time
-    point."""
+    reference stays <= eps through the horizon.
+
+    ``walk(times)`` returns the reference and the distributions over the
+    ``dim`` states at those times as consecutive column blocks. Each block
+    is reduced to its stretch of the trace as it arrives, so no states x
+    points array is held.
+    """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must be in (0, 1)")
     _check_grid(horizon, dt, dim)
     times = np.arange(dt, horizon + dt / 2, dt)
-    reference, dists = walk(times)
-    trace = 0.5 * np.abs(dists - reference[:, None]).sum(axis=0)
+    reference, blocks = walk(times)
+    trace = np.concatenate([0.5 * np.abs(dists - reference[:, None]).sum(axis=0)
+                            for dists in blocks])
     above = trace > eps
     if above[-1]:
         raise ConvergenceError("trace does not stay below epsilon; increase the horizon")
@@ -163,13 +169,31 @@ def _mixing(eps: float, horizon: float, dt: float, dim: int, walk) -> MixingResu
                         times=times, trace=trace)
 
 
+def _running_average(blocks):
+    """Running (Cesaro) means of |psi|^2 over the columns of consecutive state
+    blocks. Each block's first column carries the previous block's last
+    cumulative sum, so the sums associate as one cumsum over all columns."""
+    total, count = 0.0, 0
+    for states in blocks:
+        probs = np.abs(states) ** 2
+        probs[:, 0] += total
+        sums = np.cumsum(probs, axis=1)
+        total = sums[:, -1]
+        yield sums / np.arange(count + 1, count + sums.shape[1] + 1)
+        count += sums.shape[1]
+
+
 def quantum_mixing_time(h: HermitianOperator, psi0, eps: float, horizon: float, dt: float) -> MixingResult:
-    """Mixing of the running time-averaged distribution toward the limit."""
+    """Mixing of the running time-averaged distribution toward the limit.
+
+    This is the Cesaro mixing of Aharonov, Ambainis, Kempe & Vazirani (STOC
+    2001): the reference is the exact long-time average and the trace the TV
+    distance of the average over (0, t]. The running average is carried
+    across the series blocks, so memory does not grow with the horizon.
+    """
 
     def walk(times):
-        reference = limiting_distribution(h, psi0)
-        probs = np.abs(h.evolve_many(psi0, times)) ** 2
-        return reference, np.cumsum(probs, axis=1) / np.arange(1, len(times) + 1)
+        return limiting_distribution(h, psi0), _running_average(h._evolve_blocks(psi0, times))
 
     return _mixing(eps, horizon, dt, h.dim, walk)
 
@@ -180,6 +204,6 @@ def classical_mixing_time(g: Graph, p0, eps: float, horizon: float, dt: float) -
     def walk(times):
         p = as_distribution(p0)
         w, v = spectrum = _classical_spectrum(g)
-        return _stationary(spectrum), _series(w, v, v.T @ p, times, 1)
+        return _stationary(spectrum), _series_blocks(w, v, v.T @ p, times, 1)
 
     return _mixing(eps, horizon, dt, g.n, walk)

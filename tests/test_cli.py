@@ -259,7 +259,7 @@ def test_nonpositive_grid_exit_2(runner, tmp_path, args, message):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["hitting", "--family", "enet", "--dt", "1e-6"], "1.26e+10 complex values (188 GiB)"),
+    (["hitting", "--family", "enet", "--dt", "1e-6"], "1.26e+10 state-time values"),
     (["mixing", "--family", "enet", "--dt", "1e-7"], "on 210 states"),
     (["evolve", "--family", "cycle", "--size", "10", "--steps", "100000000"], "1e+08 points"),
     (["topo", "--steps", "1000000000"], "1e+09 points"),

@@ -1,6 +1,7 @@
 """Hitting and mixing analyzers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qwalk import (
     ConvergenceError,
     HermitianOperator,
     basis_state,
+    classical_generator,
     classical_hitting,
     classical_mixing_time,
     classical_stationary,
@@ -21,10 +23,12 @@ from qwalk import (
     generate_hypercube,
     generate_path,
     hitting_scaling,
+    limiting_distribution,
     permute_graph,
     quantum_hitting,
     quantum_mixing_time,
 )
+from qwalk import evolution
 
 
 def _k2():
@@ -202,3 +206,69 @@ def test_enet_quantum_halves_classical():
 def test_classical_mixing_factorizes_generator_once(eigh_calls):
     classical_mixing_time(generate_cycle(7), np.eye(7)[0], 0.25, 100.0, 0.1)
     assert eigh_calls == [(7, 7)]
+
+
+# -- streamed mixing readouts ---------------------------------------------
+
+
+def _boson_glued_tree(layers):
+    basis, ext = extended_graph(generate_glued_tree(layers), BOSON)
+    return ext, basis.index(0, 0)
+
+
+def _one_shot_t_mix(times, trace, eps):
+    above = np.flatnonzero(trace > eps)
+    return float(times[0 if len(above) == 0 else above[-1] + 1])
+
+
+def test_streamed_mixing_matches_one_shot():
+    # 105 states take 624 points per block: 4,000 quantum and 8,000 classical points
+    ext, start = _boson_glued_tree(5)
+    h = HermitianOperator.from_graph(ext)
+    psi0 = basis_state(ext.n, start)
+    w, v = h.spectral_decompose()
+
+    res = quantum_mixing_time(h, psi0, 0.25, 200.0, 0.05)
+    probs = np.abs(v @ (np.exp(-1j * w[:, None] * res.times) * (v.T @ psi0)[:, None])) ** 2
+    running = np.cumsum(probs, axis=1) / np.arange(1, len(res.times) + 1)
+    ref = limiting_distribution(h, psi0)
+    trace = 0.5 * np.abs(running - ref[:, None]).sum(axis=0)
+    assert np.abs(res.trace - trace).max() <= 1e-12
+    assert res.t_mix == _one_shot_t_mix(res.times, trace, 0.25)
+
+    p0 = np.abs(psi0)
+    res = classical_mixing_time(ext, p0, 0.25, 400.0, 0.05)
+    wc, vc = HermitianOperator(classical_generator(ext)).spectral_decompose()
+    dists = vc @ (np.exp(wc[:, None] * res.times) * (vc.T @ p0)[:, None])
+    trace = 0.5 * np.abs(dists - res.reference[:, None]).sum(axis=0)
+    assert np.abs(res.trace - trace).max() <= 1e-12
+    assert res.t_mix == _one_shot_t_mix(res.times, trace, 0.25)
+
+
+def test_quantum_mixing_memory_does_not_grow_with_the_grid():
+    # dim 465 x 4,000 points: one complex series alone would be 28 MiB
+    ext, start = _boson_glued_tree(7)
+    h = HermitianOperator.from_graph(ext)
+    h.spectral_decompose()
+    tracemalloc.start()
+    try:
+        quantum_mixing_time(h, basis_state(ext.n, start), 0.25, 200.0, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
+def test_subnormal_flush_leaves_classical_mixing_unchanged(monkeypatch):
+    ext, start = _boson_glued_tree(7)
+    p0 = basis_state(ext.n, start).real
+    w, v = HermitianOperator(classical_generator(ext)).spectral_decompose()
+    assert math.exp(w[0] * 400.0) < evolution._FLUSH_BELOW  # the flush does act on this grid
+    times = np.arange(0.05, 400.0 + 0.025, 0.05)
+    flushed_series = evolution._series(w, v, v.T @ p0, times, 1)
+    flushed = classical_mixing_time(ext, p0, 0.25, 400.0, 0.05)
+    monkeypatch.setattr(evolution, "_FLUSH_BELOW", 0.0)
+    assert np.array_equal(flushed_series, evolution._series(w, v, v.T @ p0, times, 1))
+    unflushed = classical_mixing_time(ext, p0, 0.25, 400.0, 0.05)
+    assert np.array_equal(flushed.trace, unflushed.trace)
+    assert flushed.t_mix == unflushed.t_mix

@@ -27,13 +27,19 @@ from qwalk import (
     time_average_distribution,
     tv_distance,
 )
-from qwalk.evolution import _check_series_size
+from qwalk import evolution
+from qwalk.evolution import _check_series_size, _series, _series_blocks
 
 
 def _random_hermitian(dim, seed):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return HermitianOperator((m + m.conj().T) / 2)
+
+
+def _one_shot(w, rows, coeffs, times, rate):
+    """The spectral series in one complex product over every time point."""
+    return rows @ (np.exp(rate * w[:, None] * np.asarray(times)) * coeffs[:, None])
 
 
 def _random_state(dim, seed):
@@ -78,6 +84,8 @@ def test_non_finite_input_refused(value):
         h.evolve_many(basis_state(2, 0), [0.0, value])
     with pytest.raises(ValueError, match="times must be finite"):
         evolve_classical(generate_path(2), [1.0, 0.0], value)
+    with pytest.raises(ValueError, match=f"T must be finite, got {value}"):
+        time_average_distribution(h, basis_state(2, 0), value, 10)
 
 
 # -- quantum evolution ---------------------------------------------------
@@ -137,6 +145,41 @@ def test_evolve_many_matches_single_calls():
     block = h.evolve_many(psi0, times)
     for k, t in enumerate(times):
         assert np.allclose(block[:, k], evolve_quantum(h, psi0, t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 6), n_rows=st.integers(1, 4), width=st.integers(1, 4),
+       count=st.sampled_from(["one", "block-1", "block", "block+1", "several"]),
+       complex_rows=st.booleans(), rate=st.sampled_from([-1j, 1]), seed=st.integers(0, 2**16))
+def test_blocked_series_matches_one_shot(dim, n_rows, width, count, complex_rows, rate, seed):
+    points = {"one": 1, "block-1": max(width - 1, 1), "block": width, "block+1": width + 1,
+              "several": 3 * width + 2}[count]
+    rng = np.random.default_rng(seed)
+    # classical rates are <= 0; quantum eigenvalues take either sign
+    w = np.sort(rng.uniform(-3.0, 0.0 if rate == 1 else 3.0, dim))
+    rows = rng.normal(size=(n_rows, dim))
+    coeffs = rng.normal(size=dim)
+    if complex_rows:
+        rows = rows + 1j * rng.normal(size=(n_rows, dim))
+    if rate == -1j:
+        coeffs = coeffs + 1j * rng.normal(size=dim)
+    times = np.sort(rng.uniform(0.0, 5.0, points))
+    expected = _one_shot(w, rows, coeffs, times, rate)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "_BLOCK_VALUES", dim * width)
+        full = _series(w, rows, coeffs, times, rate)
+        blocks = list(_series_blocks(w, rows, coeffs, times, rate))
+    assert full.shape == expected.shape
+    assert np.abs(full - expected).max() <= 1e-12
+    assert [b.shape[1] for b in blocks[:-1]] == [width] * (len(blocks) - 1)
+    assert np.array_equal(np.concatenate(blocks, axis=1), full)
+
+
+def test_series_of_real_rows_is_real_for_classical_rate():
+    g = generate_cycle(6)
+    w, v = HermitianOperator(classical_generator(g)).spectral_decompose()
+    series = _series(w, v, v.T @ basis_state(6, 0).real, np.linspace(0, 1, 5), 1)
+    assert series.dtype == np.float64
 
 
 # -- classical evolution -------------------------------------------------
@@ -237,6 +280,17 @@ def test_time_grid_size_bound():
     h = HermitianOperator.from_graph(generate_path(4))
     with pytest.raises(ValueError, match="over the limit of 2"):
         time_average_distribution(h, basis_state(4, 0), 1.0, 2**24 + 1)
+
+
+def test_time_average_streams_to_the_one_shot_average():
+    # 21 states take 3,120 points per block, so 10,000 steps span four blocks
+    h = HermitianOperator.from_graph(generate_cycle(21))
+    psi0 = _random_state(21, 11)
+    times = np.linspace(5.0 / 10_000, 5.0, 10_000)
+    w, v = h.spectral_decompose()
+    one_shot = (np.abs(_one_shot(w, v, v.T @ psi0, times, -1j)) ** 2).mean(axis=1)
+    avg = time_average_distribution(h, psi0, 5.0, 10_000)
+    assert np.abs(avg - one_shot / one_shot.sum()).max() <= 1e-13
 
 
 def test_time_average_converges_on_path4():
