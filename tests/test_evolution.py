@@ -169,17 +169,10 @@ def test_blocked_series_matches_one_shot(dim, n_rows, width, count, complex_rows
         mp.setattr(evolution, "_BLOCK_VALUES", dim * width)
         full = _series(w, rows, coeffs, times, rate)
         blocks = list(_series_blocks(w, rows, coeffs, times, rate))
-    assert full.shape == expected.shape
+    assert full.shape == expected.shape and full.dtype == expected.dtype
     assert np.abs(full - expected).max() <= 1e-12
     assert [b.shape[1] for b in blocks[:-1]] == [width] * (len(blocks) - 1)
     assert np.array_equal(np.concatenate(blocks, axis=1), full)
-
-
-def test_series_of_real_rows_is_real_for_classical_rate():
-    g = generate_cycle(6)
-    w, v = HermitianOperator(classical_generator(g)).spectral_decompose()
-    series = _series(w, v, v.T @ basis_state(6, 0).real, np.linspace(0, 1, 5), 1)
-    assert series.dtype == np.float64
 
 
 # -- classical evolution -------------------------------------------------
