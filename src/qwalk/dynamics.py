@@ -17,6 +17,7 @@ from .evolution import (
     HermitianOperator,
     _check_series_size,
     _classical_spectrum,
+    _fold,
     _series,
     _series_blocks,
     _stationary,
@@ -58,11 +59,15 @@ class MixingResult:
     trace: np.ndarray = field(repr=False)
 
 
-def _check_grid(t_max: float, dt: float, dim: int):
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+def _check_grid(t_max: float, dt: float, dim: int, name: str = "t_max"):
+    """Refuse the grid of step ``dt`` up to ``t_max``, which the caller calls
+    ``name``, unless both are finite and positive, the grid is fine enough and
+    its series fits the size limit."""
+    for label, value in ((name, t_max), ("dt", dt)):
+        if not np.isfinite(value):
+            raise ValueError(f"{label} must be finite, got {value}")
+        if value <= 0:
+            raise ValueError(f"{label} must be positive, got {value}")
     if dt > t_max / 10:
         raise ValueError("grid too coarse: need dt <= t_max / 10")
     _check_series_size(dim, t_max / dt + 1)
@@ -94,8 +99,9 @@ def _hitting(spectrum, start: int, target: int, t_max: float, dt: float, rate, r
     if start == target:
         raise ValueError("start and target must differ")
     _check_grid(t_max, dt, len(w))
-    rows, coeffs = v[[target], :], v[start, :].conj()
     times = np.arange(0.0, t_max + dt / 2, dt)
+    # Brent refines between grid points, so the grid bounds every |t| the fold must cover
+    w, rows, coeffs = _fold(w, v[[target], :], v[start, :].conj(), times)
     t_opt, eff, profile = _refined_peak(
         lambda t: readout(_series(w, rows, coeffs, t, rate)[0]), times)
     return HittingResult(t_opt=t_opt, efficiency=eff, times=times, profile=profile)
@@ -155,7 +161,7 @@ def _mixing(eps: float, horizon: float, dt: float, dim: int, walk) -> MixingResu
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must be in (0, 1)")
-    _check_grid(horizon, dt, dim)
+    _check_grid(horizon, dt, dim, "horizon")
     times = np.arange(dt, horizon + dt / 2, dt)
     reference, blocks = walk(times)
     trace = np.concatenate([0.5 * np.abs(dists - reference[:, None]).sum(axis=0)
@@ -204,6 +210,6 @@ def classical_mixing_time(g: Graph, p0, eps: float, horizon: float, dt: float) -
     def walk(times):
         p = as_distribution(p0)
         w, v = spectrum = _classical_spectrum(g)
-        return _stationary(spectrum), _series_blocks(w, v, v.T @ p, times, 1)
+        return _stationary(spectrum), _series_blocks(*_fold(w, v, v.T @ p, times), times, 1)
 
     return _mixing(eps, horizon, dt, g.n, walk)

@@ -7,14 +7,20 @@ the generator Q = A - D (unit rate per edge), which is symmetric for
 undirected graphs and handled by the same machinery.
 
 Every readout evaluates one spectral series, rows @ exp(rate Lambda t) coeffs,
-over its time points in blocks of about 2**16 phase values. Readouts that
-keep every column (``evolve_many``, hitting profiles) get the blocks written
-into one array; readouts that reduce over time (time averages, mixing
-traces) consume the blocks one at a time and never hold a states x points
-array. Complex phases meet several real eigenvector rows in one real matrix
-product on the block's float view, and real (classical) phases that
-underflow below 2**-900 are flushed to zero, since subnormal operands stall
-the product.
+over its time points, in blocks of points whose phases and output each hold
+about 2**16 values. Inside an eigenspace all terms share one phase, so
+before its time loop a readout folds each run of equal eigenvalues into one
+term whose column is the run's sum of rows * coeffs, where that saves more
+than it costs. On the highly symmetric graphs (cycles, glued trees,
+hypercubes, lattices) that removes most terms; a non-degenerate spectrum is
+left as it is.
+Readouts that keep every column (``evolve_many``, hitting profiles) get the
+blocks written into one array; readouts that reduce over time (time
+averages, mixing traces) consume the blocks one at a time and never hold a
+states x points array. Complex phases meet several real columns in one
+real matrix product on the block's float view, and real (classical) phases
+that underflow below 2**-900 are flushed to zero, since subnormal operands
+stall the product.
 """
 
 from __future__ import annotations
@@ -96,22 +102,35 @@ class HermitianOperator:
 
     def evolve_many(self, psi0: np.ndarray, times) -> np.ndarray:
         """States at several times, one column per time point."""
-        w, v = self.spectral_decompose()
-        return _series(w, v, v.conj().T @ np.asarray(psi0, dtype=complex), _as_times(times), -1j)
+        times = _as_times(times)
+        return _series(*self._folded(psi0, times), times, -1j)
 
     def _evolve_blocks(self, psi0: np.ndarray, times: np.ndarray):
         """The columns of ``evolve_many`` as consecutive blocks."""
+        return _series_blocks(*self._folded(psi0, times), times, -1j)
+
+    def _folded(self, psi0, times: np.ndarray):
+        """The terms of the series that evolves ``psi0`` over ``times``."""
         w, v = self.spectral_decompose()
-        return _series_blocks(w, v, v.conj().T @ np.asarray(psi0, dtype=complex), times, -1j)
+        return _fold(w, v, v.conj().T @ np.asarray(psi0, dtype=complex), times)
 
 
-# Phase values per block of time points; each block is one matrix product.
+# Output values per block of time points; each block is one matrix product.
+# Sizing blocks by the larger of the term and row counts keeps a folded
+# series from widening blocks, and so its memory, beyond the unfolded one's.
 # 2**16 to 2**18 were fastest at dim 820, 2**12 was 1.6x slower and 2**20
 # slower again.
 _BLOCK_VALUES = 2**16
 # Real phases below this are set to zero before the product: subnormal
 # operands make it several times slower, and no dropped term exceeds 1e-270.
 _FLUSH_BELOW = 2.0**-900
+# A run of eigenvalues folds into one term when its spread times the largest
+# |t| is at most this, so no phase moves by more than half of it (classical
+# rates are <= 0 and readout times >= 0, so neither do classical phases).
+_FOLD_PHASE = 2e-12
+# The fold's fixed cost counted in multiply-adds of the series: its dozen
+# numpy calls take about 20 us, as long as a product of 2**16.
+_FOLD_OVERHEAD = 2**16
 
 
 def _as_times(times) -> np.ndarray:
@@ -123,12 +142,56 @@ def _as_times(times) -> np.ndarray:
     return times
 
 
+def _runs(w: np.ndarray, tol: float) -> np.ndarray:
+    """Start index of each run of ascending eigenvalues ``w`` that spans at
+    most ``tol``. Neighbours more than ``tol`` apart start a new run, and a
+    chain of close neighbours whose ends lie further apart stays split into
+    single eigenvalues."""
+    split = np.concatenate(([True], np.diff(w) > tol))
+    starts = np.flatnonzero(split)
+    if len(starts) == len(w):
+        return starts
+    counts = np.diff(np.append(starts, len(w)))
+    split |= np.repeat(w[starts + counts - 1] - w[starts] > tol, counts)
+    return np.flatnonzero(split)
+
+
+def _fold(w, rows, coeffs, times: np.ndarray):
+    """The series ``rows @ exp(rate Lambda t) coeffs`` over ``times`` with one
+    term per eigenspace.
+
+    Each run that ``_runs`` groups at _FOLD_PHASE / max|t| becomes one term:
+    the run's midpoint as eigenvalue and its sum of rows * coeffs as column,
+    with ``None`` for the coefficients it carries (real when they are). Each
+    merged eigenvalue saves a pass over its column per time point; folding
+    costs two passes over ``rows`` and _FOLD_OVERHEAD. Where that saves
+    nothing, as for one time point or a small series, the inputs come back
+    as they are.
+    """
+
+    def pays(terms):
+        saved = len(rows) * (len(w) - terms) * times.size
+        return saved > 2 * len(rows) * len(w) + _FOLD_OVERHEAD
+
+    if not pays(1):  # not even one term for the whole spectrum would pay
+        return w, rows, coeffs
+    t_max = np.abs(times).max()
+    starts = _runs(w, _FOLD_PHASE / t_max if t_max > 0 else np.inf)
+    if not pays(len(starts)):
+        return w, rows, coeffs
+    if np.iscomplexobj(coeffs) and not coeffs.imag.any():
+        coeffs = coeffs.real
+    ends = np.append(starts[1:], len(w)) - 1
+    return 0.5 * (w[starts] + w[ends]), np.add.reduceat(rows * coeffs, starts, axis=1), None
+
+
 def _series(w, rows, coeffs, times: np.ndarray, rate) -> np.ndarray:
     """The spectral series rows @ exp(rate * Lambda * t) coeffs, one column per
     time point: rate -1j evolves a quantum state, rate 1 a classical
-    distribution. A call that fits in one block is one product; longer ones
-    are written block by block into the result."""
-    width = _BLOCK_VALUES // len(w) or 1
+    distribution. ``coeffs`` is None for a folded series, whose ``rows``
+    already carry them. A call that fits in one block is one product; longer
+    ones are written block by block into the result."""
+    width = _BLOCK_VALUES // max(len(w), len(rows)) or 1
     if times.size <= width:
         return _series_block(w, rows, coeffs, times, rate)
     out = np.empty((len(rows), times.size), np.result_type(w, rows, coeffs, rate))
@@ -139,7 +202,7 @@ def _series(w, rows, coeffs, times: np.ndarray, rate) -> np.ndarray:
 
 def _series_blocks(w, rows, coeffs, times: np.ndarray, rate):
     """The columns of ``_series`` as consecutive blocks, one at a time."""
-    width = _BLOCK_VALUES // len(w) or 1
+    width = _BLOCK_VALUES // max(len(w), len(rows)) or 1
     for lo in range(0, times.size, width):
         yield _series_block(w, rows, coeffs, times[lo:lo + width], rate)
 
@@ -149,7 +212,7 @@ def _series_block(w, rows, coeffs, times, rate) -> np.ndarray:
     phases = np.exp(rate * w[:, None] * times)
     if phases.dtype.kind != "c":
         phases[phases < _FLUSH_BELOW] = 0.0
-    terms = phases * coeffs[:, None]
+    terms = phases if coeffs is None else phases * coeffs[:, None]
     if len(rows) > 1 and terms.dtype.kind == "c" and rows.dtype.kind != "c":
         # one real product on the (re, im) pairs: half the flops of promoting
         # rows; a single row is a vector product, where promoting costs no more
@@ -240,7 +303,8 @@ def _evolve_classical_many(g: Graph, p0, times) -> np.ndarray:
     if p0.shape != (g.n,):
         raise ValueError("distribution dimension mismatch")
     w, v = _classical_spectrum(g)
-    series = _series(w, v, v.T @ p0, _as_times(times), 1)
+    times = _as_times(times)
+    series = _series(*_fold(w, v, v.T @ p0, times), times, 1)
     return np.stack([as_distribution(p, tol=1e-7) for p in series.T], axis=1)
 
 
@@ -258,20 +322,14 @@ def limiting_distribution(h: HermitianOperator, psi0) -> np.ndarray:
     """Long-time average over eigenspace projectors.
 
     Pbar(v) = sum over distinct eigenvalues of |<v| Pi_lambda |psi0>|^2;
-    eigenvalues within 1e-8 * max(|lambda|, 1) are grouped into one eigenspace.
+    each run of eigenvalues spanning at most 1e-8 * max(|lambda|, 1) is one
+    eigenspace.
     """
     psi0 = as_state(psi0)
     w, v = h.spectral_decompose()
-    degeneracy_tol = 1e-8 * max(np.abs(w).max(), 1.0)
-    coeffs = v.conj().T @ psi0
-    pbar = np.zeros(h.dim)
-    start = 0
-    for k in range(1, h.dim + 1):
-        if k == h.dim or w[k] - w[k - 1] > degeneracy_tol:
-            block = v[:, start:k] @ coeffs[start:k]
-            pbar += np.abs(block) ** 2
-            start = k
-    return as_distribution(pbar, tol=1e-7)
+    starts = _runs(w, 1e-8 * max(np.abs(w).max(), 1.0))
+    projections = np.add.reduceat(v * (v.conj().T @ psi0), starts, axis=1)
+    return as_distribution((np.abs(projections) ** 2).sum(axis=1), tol=1e-7)
 
 
 def _average_times(t_final: float, steps: int, dim: int) -> np.ndarray:

@@ -251,7 +251,10 @@ def test_seed_out_of_range_exit_2(runner, tmp_path, seed):
     (["topo", "--steps", "0"], "steps must be >= 1, got 0"),
     (["topo", "--probe", "amcqm", "--flavor", "bbh", "--steps", "0"], "steps must be >= 1, got 0"),
     (["topo", "--probe", "amcqm", "--flavor", "bbh", "--t-final", "-2"], "T must be positive, got -2.0"),
-], ids=["mixing-dt", "hitting-dt", "amcd-steps", "amcqm-steps", "amcqm-t"])
+    (["hitting", "--family", "enet", "--t-max", "nan"], "t_max must be finite, got nan"),
+    (["mixing", "--family", "enet", "--horizon", "inf"], "horizon must be finite, got inf"),
+], ids=["mixing-dt", "hitting-dt", "amcd-steps", "amcqm-steps", "amcqm-t", "hitting-nan",
+        "mixing-inf"])
 def test_nonpositive_grid_exit_2(runner, tmp_path, args, message):
     result = runner.invoke(main, ["--out-dir", str(tmp_path)] + args)
     assert result.exit_code == 2, result.output

@@ -74,6 +74,23 @@ def test_hitting_rejects_vertices_outside_graph(start, target):
         quantum_hitting(HermitianOperator.from_graph(g), start, target, 10.0, 0.1)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_grid_refused(value):
+    g = generate_path(2)
+    readouts = {
+        "t_max": [lambda t, dt: quantum_hitting(_k2(), 0, 1, t, dt),
+                  lambda t, dt: classical_hitting(g, 0, 1, t, dt)],
+        "horizon": [lambda t, dt: quantum_mixing_time(_k2(), basis_state(2, 0), 0.25, t, dt),
+                    lambda t, dt: classical_mixing_time(g, [1.0, 0.0], 0.25, t, dt)],
+    }
+    for name, calls in readouts.items():
+        for call in calls:
+            with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+                call(value, 0.1)
+            with pytest.raises(ValueError, match=f"dt must be finite, got {value}"):
+                call(10.0, value)
+
+
 @pytest.mark.parametrize("dt", [0.0, -1.0])
 def test_nonpositive_time_step_rejected(dt):
     with pytest.raises(ValueError, match="dt must be positive"):
@@ -272,3 +289,17 @@ def test_subnormal_flush_leaves_classical_mixing_unchanged(monkeypatch):
     unflushed = classical_mixing_time(ext, p0, 0.25, 400.0, 0.05)
     assert np.array_equal(flushed.trace, unflushed.trace)
     assert flushed.t_mix == unflushed.t_mix
+
+
+def test_folded_mixing_on_the_boson_cycle_matches_the_unfolded_series(monkeypatch):
+    # the boson pair on cycle(40) has 820 states but 221 distinct eigenvalues
+    basis, ext = extended_graph(generate_cycle(40), BOSON)
+    h = HermitianOperator.from_graph(ext)
+    psi0 = basis_state(ext.n, basis.index(0, 0))
+    times = np.arange(0.05, 200.0 + 0.025, 0.05)
+    assert len(h._folded(psi0, times)[0]) == 221
+    folded = quantum_mixing_time(h, psi0, 0.25, 200.0, 0.05)
+    monkeypatch.setattr(evolution, "_fold", lambda w, rows, coeffs, times: (w, rows, coeffs))
+    unfolded = quantum_mixing_time(h, psi0, 0.25, 200.0, 0.05)
+    assert np.abs(folded.trace - unfolded.trace).max() <= 1e-12
+    assert folded.t_mix == unfolded.t_mix

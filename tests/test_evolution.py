@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwalk import (
+    BOSON,
     HermitianOperator,
     basis_state,
     classical_fidelity,
@@ -15,9 +16,11 @@ from qwalk import (
     classical_stationary,
     evolve_classical,
     evolve_quantum,
+    extended_graph,
     generate_complete,
     generate_cycle,
     generate_erdos_renyi,
+    generate_hypercube,
     generate_path,
     generate_star,
     l1_distance,
@@ -166,13 +169,87 @@ def test_blocked_series_matches_one_shot(dim, n_rows, width, count, complex_rows
     times = np.sort(rng.uniform(0.0, 5.0, points))
     expected = _one_shot(w, rows, coeffs, times, rate)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evolution, "_BLOCK_VALUES", dim * width)
+        # blocks hold about _BLOCK_VALUES phase or output values, whichever are more
+        mp.setattr(evolution, "_BLOCK_VALUES", max(dim, n_rows) * width)
         full = _series(w, rows, coeffs, times, rate)
         blocks = list(_series_blocks(w, rows, coeffs, times, rate))
     assert full.shape == expected.shape and full.dtype == expected.dtype
     assert np.abs(full - expected).max() <= 1e-12
-    assert [b.shape[1] for b in blocks[:-1]] == [width] * (len(blocks) - 1)
+    sizes = [width] * (points // width) + [points % width] * (points % width > 0)
+    assert [b.shape[1] for b in blocks] == sizes
     assert np.array_equal(np.concatenate(blocks, axis=1), full)
+
+
+def _planted_spectrum(groups, rate, tol, rng):
+    """Ascending eigenvalues with one planted group per (size, kind): exact
+    repeats, repeats one ulp apart, neighbours 1.5 merge bounds apart, or a
+    chain of neighbours 0.7 bounds apart, which spans more than one bound
+    from three members on. Returns them with the number of terms the fold
+    must leave."""
+    # centres 0.25 apart; classical rates are <= 0
+    centres = -0.25 * (1 + rng.permutation(24)[:len(groups)]) + (0.0 if rate == 1 else 3.0)
+    w, terms = [], 0
+    for centre, (size, kind) in zip(centres, groups):
+        group = [centre]
+        for _ in range(size - 1):
+            step = {"exact": 0.0, "ulps": np.spacing(abs(group[-1])), "apart": 1.5 * tol,
+                    "chain": 0.7 * tol}[kind]
+            group.append(group[-1] + step)
+        w += group
+        terms += size if kind == "apart" or (kind == "chain" and size > 2) else 1
+    return np.sort(w), terms
+
+
+@settings(max_examples=80, deadline=None)
+@given(groups=st.lists(st.tuples(st.integers(1, 4),
+                                 st.sampled_from(["exact", "ulps", "apart", "chain"])),
+                       min_size=1, max_size=6),
+       n_rows=st.integers(1, 3), complex_coeffs=st.booleans(), rate=st.sampled_from([-1j, 1]),
+       t_max=st.floats(0.5, 400.0), seed=st.integers(0, 2**16))
+def test_fold_matches_the_unfolded_series(groups, n_rows, complex_coeffs, rate, t_max, seed):
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, t_max, 50)
+    w, terms = _planted_spectrum(groups, rate, evolution._FOLD_PHASE / t_max, rng)
+    # unit rows and coefficients bound sum |rows * coeffs| by 1, so by the
+    # merge rule no entry moves by more than 1e-12
+    rows = rng.normal(size=(n_rows, len(w)))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    coeffs = rng.normal(size=len(w)) + (1j * rng.normal(size=len(w)) if complex_coeffs else 0.0)
+    coeffs /= np.linalg.norm(coeffs)
+    expected = _one_shot(w, rows, coeffs, times, rate)
+    with pytest.MonkeyPatch.context() as mp:
+        # with no fixed cost, 50 points make every merge pay
+        mp.setattr(evolution, "_FOLD_OVERHEAD", 0)
+        folded = evolution._fold(w, rows, coeffs, times)
+        mp.setattr(evolution, "_BLOCK_VALUES", 2 * max(terms, n_rows))  # 2 points per block
+        full = _series(*folded, times, rate)
+        blocks = np.concatenate(list(_series_blocks(*folded, times, rate)), axis=1)
+    assert len(folded[0]) == terms
+    if terms == len(w):
+        assert all(a is b for a, b in zip(folded, (w, rows, coeffs)))
+    else:
+        assert folded[2] is None and np.iscomplexobj(folded[1]) == complex_coeffs
+    assert full.dtype == expected.dtype
+    assert np.abs(full - expected).max() <= 1e-12
+    assert np.array_equal(blocks, full)
+
+
+def test_fold_returns_a_series_it_cannot_shorten_unchanged(monkeypatch):
+    h = _random_hermitian(6, 12)
+    w, v = h.spectral_decompose()
+    coeffs = v.conj().T @ _random_state(6, 13)
+    times = np.linspace(0.0, 50.0, 20)
+    pair = np.array([-1.0, -1.0, 0.0, 1.0, 2.0, 3.0])
+
+    def unchanged(*args):
+        return all(a is b for a, b in zip(evolution._fold(*args), args[:3]))
+
+    assert unchanged(np.zeros(6), v, coeffs, times)  # too small to pay for the fixed cost
+    monkeypatch.setattr(evolution, "_FOLD_OVERHEAD", 0)
+    assert unchanged(w, v, coeffs, times)  # non-degenerate
+    assert unchanged(np.zeros(6), v, coeffs, times[:1])  # one point
+    assert unchanged(pair, v, coeffs, times[:12])  # one merge saves 12 passes of the 12 it costs
+    assert len(evolution._fold(pair, v, coeffs, times[:13])[0]) == 5
 
 
 # -- classical evolution -------------------------------------------------
@@ -244,6 +321,23 @@ def test_limiting_h0_keeps_initial():
 def test_limiting_k2():
     h = HermitianOperator([[0, 1], [1, 0]])
     assert np.allclose(limiting_distribution(h, basis_state(2, 0)), [0.5, 0.5])
+
+
+@pytest.mark.parametrize("graph", [generate_cycle(12), generate_hypercube(4), generate_path(5)],
+                         ids=["boson-cycle12", "boson-Q4", "boson-path5"])
+def test_limiting_matches_the_per_eigenspace_loop(graph):
+    # degenerate spectra; the loop sums each eigenspace's projection in turn
+    _, ext = extended_graph(graph, BOSON)
+    h = HermitianOperator.from_graph(ext)
+    psi0 = _random_state(ext.n, 14)
+    w, v = h.spectral_decompose()
+    coeffs = v.conj().T @ psi0
+    pbar, start = np.zeros(h.dim), 0
+    for k in range(1, h.dim + 1):
+        if k == h.dim or w[k] - w[k - 1] > 1e-8 * max(np.abs(w).max(), 1.0):
+            pbar += np.abs(v[:, start:k] @ coeffs[start:k]) ** 2
+            start = k
+    assert np.abs(limiting_distribution(h, psi0) - pbar / pbar.sum()).max() <= 1e-15
 
 
 def test_limiting_matches_long_time_average():
