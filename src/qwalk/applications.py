@@ -114,6 +114,14 @@ class SearchResult:
     t_opt: float
     success: float
     gamma: float
+    peak_at_boundary: bool  # t_opt is 0 or the horizon: the window may cut the peak
+
+
+# Pure bisection shrinks a bracket of two grid steps (at most horizon / 15.5,
+# since a grid has at least 32 points) below _PEAK_XTOL * max(1, horizon) in
+# 40 halvings, so the cap ends only a readout with no usable curvature.
+_PEAK_XTOL = 1e-13
+_NEWTON_CAP = 48
 
 
 def _search_peak(h: HermitianOperator, psi0: np.ndarray, marked: list[int], horizon: float):
@@ -122,19 +130,66 @@ def _search_peak(h: HermitianOperator, psi0: np.ndarray, marked: list[int], hori
     The probability is a trigonometric sum whose frequencies are eigenvalue
     differences, so its bandwidth is W = lambda_max - lambda_min and its
     shortest period 2 pi / W. The uniform grid on [0, horizon] takes 8 points
-    per such period, and at least 32; the best grid point is then refined by
-    Brent between its neighbours.
+    per such period, and at least 32; ``_series_peak`` refines its best point.
     """
     w, v = h.spectral_decompose()
-    vm, coeff = v[marked, :], v.conj().T @ psi0
-
-    def success(t):
-        return (np.abs(_series(w, vm, coeff, t, -1j)) ** 2).sum(axis=0)
-
+    rows = v[marked, :] * (v.conj().T @ psi0)
     periods = 8 * float(w[-1] - w[0]) * horizon / (2 * math.pi)  # floats: overflow is a silent inf
     _check_series_size(len(w), max(32, periods + 1))
     points = max(32, math.ceil(periods) + 1)
-    return _refined_peak(success, np.linspace(0.0, horizon, points))[:2]
+    return _series_peak(w, rows, np.linspace(0.0, horizon, points))
+
+
+def _series_peak(w: np.ndarray, rows: np.ndarray, times: np.ndarray) -> tuple[float, float]:
+    """Peak of S(t) = sum_m |a_m(t)|^2, a = rows @ exp(-i w t), over ``times``.
+
+    The grid argmax is refined between its two grid neighbours by a
+    safeguarded Newton iteration on the exact derivatives: one product gives
+    a, a' and a'', so S' = 2 Re sum conj(a) a' and
+    S'' = 2 Re sum (|a'|^2 + conj(a) a''). Each step shrinks the bracket
+    toward the sign of S', then takes the Newton step -S'/S'' where S'' < 0
+    and the step lands inside the bracket, and bisects it otherwise. It stops
+    when the step or the bracket is below _PEAK_XTOL * max(1, horizon), when
+    S' is at roundoff, or after _NEWTON_CAP steps. Returns the point reached
+    and its value, or the grid maximum where that reads higher.
+
+    The point reached, not the best point seen, is returned: near the peak S
+    is flat to roundoff, so an earlier iterate can read a few ulps higher
+    while lying sqrt(eps / |S''|) away from it.
+    """
+    values = (np.abs(_series(w, rows, None, times, -1j)) ** 2).sum(axis=0)
+    k = int(np.argmax(values))
+    t = float(times[k])
+    lo, hi = float(times[max(k - 1, 0)]), float(times[min(k + 1, len(times) - 1)])
+    tol = _PEAK_XTOL * max(1.0, float(times[-1]))
+    rate = -1j * w
+    derivs = np.stack([rows, rate * rows, -(w * w) * rows])
+    # S' cannot be resolved closer to 0 than the roundoff of its products
+    mags = np.abs(rows)
+    floor = 16 * np.finfo(float).eps * float(mags.sum() * (mags * np.abs(w)).sum())
+    for _ in range(_NEWTON_CAP):
+        phase = rate * t
+        a, a1, a2 = derivs @ np.exp(phase, out=phase)
+        d1 = 2 * np.vdot(a, a1).real
+        if abs(d1) <= floor:
+            break
+        if d1 > 0:
+            lo = t
+        else:
+            hi = t
+        d2 = 2 * (np.vdot(a1, a1).real + np.vdot(a, a2).real)
+        t_next = t - d1 / d2 if d2 < 0 else t
+        if not lo < t_next < hi:
+            t_next = 0.5 * (lo + hi)
+        if hi - lo <= tol or abs(t_next - t) <= tol:
+            break
+        t = float(t_next)
+    else:  # the cap ended the loop after a step: read the point it reached
+        a = rows @ np.exp(rate * t)
+    s = float(np.vdot(a, a).real)
+    if s >= values[k]:
+        return t, s
+    return float(times[k]), float(values[k])
 
 
 def _vertex_set(vertices, n: int, name: str) -> list[int]:
@@ -154,11 +209,13 @@ def spatial_search(g: Graph, marked, start=None, gamma_strategy="auto",
     The walker starts in the uniform superposition over ``start`` (all
     vertices when None). Each gamma's peak is read from a time grid sized to
     the bandwidth of its spectrum (8 points per shortest period, at least
-    32) and refined by Brent. For gamma_strategy="auto", gamma is tuned to
-    maximize the peak success probability over (0, 2 / lambda_max] by the
-    same grid-then-Brent peak finder: a 25-point scan, refined between the
+    32) and refined by safeguarded Newton on the exact time derivatives of
+    the marked-set probability. For gamma_strategy="auto", gamma is tuned to
+    maximize the peak success probability over (0, 2 / lambda_max] by
+    ``_refined_peak``: a 25-point scan, refined by bounded Brent between the
     grid neighbours of its best point; the default horizon sqrt(n) keeps the
     tuner on the fast resonance, which is what makes t_opt scale as sqrt(n).
+    ``peak_at_boundary`` flags a t_opt at 0 or at the horizon.
     Auto mode needs lambda_max > 0, i.e. an edge; a fixed gamma and the
     horizon must be finite, and a grid over 2**26 state-time values is
     refused before it is allocated.
@@ -176,10 +233,12 @@ def spatial_search(g: Graph, marked, start=None, gamma_strategy="auto",
     start = range(n) if start is None else _vertex_set(start, n, "start")
     psi0 = np.zeros(n, dtype=complex)
     psi0[start] = 1.0 / np.sqrt(len(start))
+    peaks = {}  # gamma -> (t_opt, success), so the tuned gamma is not evaluated twice
 
     def peak_for(gamma: float):
-        h = HermitianOperator(gamma * a + oracle)
-        return _search_peak(h, psi0, marked, horizon)
+        if gamma not in peaks:
+            peaks[gamma] = _search_peak(HermitianOperator(gamma * a + oracle), psi0, marked, horizon)
+        return peaks[gamma]
 
     if gamma_strategy == "auto":
         lam_max = float(np.linalg.eigvalsh(a).max())
@@ -192,7 +251,8 @@ def spatial_search(g: Graph, marked, start=None, gamma_strategy="auto",
         if not math.isfinite(gamma):
             raise ValueError(f"gamma must be finite, got {gamma}")
     t_opt, success = peak_for(gamma)
-    return SearchResult(t_opt=t_opt, success=success, gamma=gamma)
+    return SearchResult(t_opt=t_opt, success=success, gamma=gamma,
+                        peak_at_boundary=t_opt in (0.0, horizon))
 
 
 # -- graph isomorphism ---------------------------------------------------

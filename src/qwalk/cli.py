@@ -450,6 +450,7 @@ def search_cmd(ctx, n, p, marked_count, gamma, horizon):
         "t_opt": res.t_opt,
         "success": res.success,
         "gamma_used": res.gamma,
+        "peak_at_boundary": res.peak_at_boundary,
     })
 
 
@@ -602,11 +603,13 @@ def _fig_search(fig_dir, seed):
     sizes = [5, 6, 8, 10, 12, 14]
     n_seeds = 8
     rows = []
+    boundary_peaks = 0
     for base_n in sizes:
         for k in range(n_seeds):
             ext, marked = _search_instance(base_n, 0.25, 3, seed + 1000 * base_n + k)
             res = spatial_search(ext, marked)
             rows.append((base_n, ext.n, res.t_opt, res.success, res.gamma))
+            boundary_peaks += res.peak_at_boundary
     _write_csv(fig_dir / "search_sweep.csv",
                ["base_n", "extended_dim", "t_opt", "success", "gamma"], rows)
     dims = np.array([r[1] for r in rows], float)
@@ -618,7 +621,7 @@ def _fig_search(fig_dir, seed):
         _check_range("mean search success", succ.mean(), 0.35, 0.65),
     ]
     return checks, {"slope": float(a), "intercept": float(b),
-                    "mean_success": float(succ.mean())}
+                    "mean_success": float(succ.mean()), "boundary_peaks": boundary_peaks}
 
 
 def _fig_gi(fig_dir, seed):

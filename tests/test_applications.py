@@ -2,9 +2,12 @@
 
 import math
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qwalk import (
     BOSON,
@@ -32,7 +35,7 @@ from qwalk import (
     uniform_state,
 )
 from qwalk import applications
-from qwalk.applications import _search_peak
+from qwalk.applications import _search_peak, _series_peak
 from qwalk.dynamics import _refined_peak
 from qwalk.evolution import _series
 from qwalk.graphs import Graph
@@ -165,7 +168,7 @@ def test_search_refuses_oversized_time_grid_before_allocating(scale, monkeypatch
     def no_grid(*args, **kwargs):
         raise AssertionError("the oversized grid reached the peak finder")
 
-    monkeypatch.setattr(applications, "_refined_peak", no_grid)
+    monkeypatch.setattr(applications, "_series_peak", no_grid)
     h = generate_cycle(5).adjacency().copy()
     h[1, 1] += 1.0
     w = np.linalg.eigvalsh(h)
@@ -335,11 +338,11 @@ def _search_grid(monkeypatch, g, marked, gamma, horizon):
     """The search result at a fixed gamma and the time grid it was read from."""
     grids = []
 
-    def spy(f, times):
+    def spy(w, rows, times):
         grids.append(times)
-        return _refined_peak(f, times)
+        return _series_peak(w, rows, times)
 
-    monkeypatch.setattr(applications, "_refined_peak", spy)
+    monkeypatch.setattr(applications, "_series_peak", spy)
     res = spatial_search(g, marked, gamma_strategy=gamma, horizon=horizon)
     (times,) = grids
     return res, times
@@ -363,6 +366,111 @@ def test_search_grid_floor_and_flat_spectrum(monkeypatch):
     assert len(times) == 32
     assert times[-1] == math.sqrt(2)
     assert math.isclose(res.success, 1.0, abs_tol=1e-12)
+
+
+def _brent_series_peak(w, rows, times):
+    """The time refinement _search_peak had before Newton, kept as the
+    reference: bounded Brent through _refined_peak between the grid
+    neighbours of the argmax."""
+    return _refined_peak(lambda t: (np.abs(_series(w, rows, None, t, -1j)) ** 2).sum(axis=0),
+                         times)[:2]
+
+
+def _readout_slope_and_curvature(w, rows, t):
+    """S'(t) and S''(t) of S = sum |rows @ exp(-i w t)|^2, each amplitude
+    derivative read as its own series."""
+    a, a1, a2 = (_series(w, r, None, np.array([t]), -1j)[:, 0]
+                 for r in (rows, -1j * w * rows, -(w * w) * rows))
+    return 2 * np.vdot(a, a1).real, 2 * (np.vdot(a1, a1).real + np.vdot(a, a2).real)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 9),
+       fraction=st.floats(0.0, 1.0, exclude_min=True))
+def test_search_newton_peak_matches_brent_reference(seed, n, fraction):
+    # boson-extended G(n, 0.25), three marked vertices, gamma in (0, 2 / lambda_max]
+    _, ext = extended_graph(generate_erdos_renyi(n, 0.25, seed=seed), BOSON)
+    a = ext.adjacency()
+    lam_max = float(np.linalg.eigvalsh(a)[-1])
+    assume(lam_max > 0)
+    marked = sorted(int(x) for x in np.random.default_rng(seed).choice(ext.n, 3, replace=False))
+    oracle = np.zeros((ext.n, ext.n))
+    oracle[marked, marked] = 1.0
+    h = HermitianOperator(2 * fraction / lam_max * a + oracle)
+    psi0 = np.full(ext.n, 1.0 / np.sqrt(ext.n), dtype=complex)
+    for horizon in (math.sqrt(ext.n), 8 * math.sqrt(ext.n)):
+        grids = []
+        with patch.object(applications, "_series_peak",
+                          lambda *args: grids.append(args) or _series_peak(*args)):
+            t_opt, success = _search_peak(h, psi0, marked, horizon)
+        ref_t, ref_success = _brent_series_peak(*grids[0])
+        assert success >= ref_success - 1e-12
+        slope, curvature = _readout_slope_and_curvature(*grids[0][:2], t_opt)
+        # an interior peak; a readout flat to roundoff (gamma near 0) has none to place
+        if 0 < ref_t < horizon and curvature < 0:
+            # Newton's t is within 1e-8 of the stationary point, or S' is at
+            # roundoff there. Brent stops within 2 sqrt(eps) t of it, and
+            # compares values, which are flat to roundoff within
+            # sqrt(eps S / |S''|) of it, so it places t no closer than those
+            assert abs(slope) <= 1e-8 * -curvature + 1e-13
+            eps = np.finfo(float).eps
+            brent_resolution = 2 * math.sqrt(eps) * ref_t + 4 * math.sqrt(eps * success / -curvature)
+            assert abs(t_opt - ref_t) <= 1e-8 + brent_resolution
+
+
+@pytest.mark.parametrize("start, horizon, t_opt", [([1], 3.0, 0.0), ([0], 1.0, 1.0)],
+                         ids=["start", "horizon"])
+def test_search_flags_a_peak_on_the_window_edge(start, horizon, t_opt):
+    # H = [[0, 1/2], [1/2, 1]]: from |1> the marked probability falls from 1;
+    # from |0> it is sin^2(t / sqrt 2) / 2, rising until t = pi / sqrt 2
+    res = spatial_search(generate_path(2), marked=[1], start=start, gamma_strategy=0.5,
+                         horizon=horizon)
+    assert res.t_opt == t_opt
+    assert res.peak_at_boundary
+    expected = 1.0 if t_opt == 0 else 0.5 * math.sin(horizon / math.sqrt(2)) ** 2
+    assert math.isclose(res.success, expected, abs_tol=1e-12)
+
+
+def test_search_interior_peak_is_not_flagged():
+    res = spatial_search(generate_path(2), marked=[1], start=[0], gamma_strategy=0.5, horizon=5.0)
+    assert abs(res.t_opt - math.pi / math.sqrt(2)) <= 1e-9
+    assert not res.peak_at_boundary
+
+
+@pytest.mark.filterwarnings("error")
+def test_search_flat_readout_returns_the_grid_value(monkeypatch):
+    # an edgeless graph at a fixed gamma: the marked probability is 1/3 throughout
+    exp_calls = []
+    exp = np.exp
+
+    def counting(*args, **kwargs):
+        exp_calls.append(1)
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting)
+    res, times = _search_grid(monkeypatch, Graph.from_edges(3, []), [1], 0.5, 4.0)
+    assert res.t_opt in times
+    assert math.isclose(res.success, 1 / 3, abs_tol=1e-15)
+    # one exp for the grid and one for the first Newton step, where S' is at roundoff
+    assert len(exp_calls) == 2
+
+
+def test_search_factors_once_per_tuner_evaluation(eigh_calls, monkeypatch):
+    gammas = []
+
+    def spy(f, grid):
+        return _refined_peak(lambda gs: gammas.extend(gs) or f(gs), grid)
+
+    monkeypatch.setattr(applications, "_refined_peak", spy)
+    ext, marked = _er_search_instance(3)
+    res = spatial_search(ext, marked)
+    assert len(eigh_calls) == len(gammas) > 25
+    assert set(eigh_calls) == {(ext.n, ext.n)}
+    # the tuned gamma's own evaluation is returned; a fresh one gives the same bits
+    eigh_calls.clear()
+    fixed = spatial_search(ext, marked, gamma_strategy=res.gamma)
+    assert eigh_calls == [(ext.n, ext.n)]
+    assert (fixed.t_opt, fixed.success) == (res.t_opt, res.success)
 
 
 # -- graph certificates --------------------------------------------------

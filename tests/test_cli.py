@@ -71,6 +71,14 @@ def test_search_nonpositive_horizon_exit_2(runner, tmp_path, horizon):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("horizon, on_edge", [("0.5", True), ("20", False)])
+def test_search_report_flags_a_peak_on_the_window_edge(runner, tmp_path, horizon, on_edge):
+    _run(runner, ["--out-dir", str(tmp_path), "search", "--n", "5", "--horizon", horizon])
+    report = json.loads((tmp_path / "search.json").read_text())
+    assert report["peak_at_boundary"] is on_edge
+    assert (report["t_opt"] == float(horizon)) is on_edge
+
+
 def test_oversized_extended_graph_exit_2(runner, tmp_path):
     result = runner.invoke(main, ["--out-dir", str(tmp_path), "centrality", "--n", "130"])
     assert result.exit_code == 2, result.output
