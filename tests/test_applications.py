@@ -418,23 +418,18 @@ def test_search_newton_peak_matches_brent_reference(seed, n, fraction):
             assert abs(t_opt - ref_t) <= 1e-8 + brent_resolution
 
 
-@pytest.mark.parametrize("start, horizon, t_opt", [([1], 3.0, 0.0), ([0], 1.0, 1.0)],
-                         ids=["start", "horizon"])
-def test_search_flags_a_peak_on_the_window_edge(start, horizon, t_opt):
+@pytest.mark.parametrize("start, horizon, t_opt, on_edge", [
+    ([1], 3.0, 0.0, True), ([0], 1.0, 1.0, True), ([0], 5.0, math.pi / math.sqrt(2), False),
+], ids=["start", "horizon", "interior"])
+def test_search_flags_a_peak_on_the_window_edge(start, horizon, t_opt, on_edge):
     # H = [[0, 1/2], [1/2, 1]]: from |1> the marked probability falls from 1;
     # from |0> it is sin^2(t / sqrt 2) / 2, rising until t = pi / sqrt 2
     res = spatial_search(generate_path(2), marked=[1], start=start, gamma_strategy=0.5,
                          horizon=horizon)
-    assert res.t_opt == t_opt
-    assert res.peak_at_boundary
-    expected = 1.0 if t_opt == 0 else 0.5 * math.sin(horizon / math.sqrt(2)) ** 2
+    assert math.isclose(res.t_opt, t_opt, abs_tol=1e-9)
+    assert res.peak_at_boundary is on_edge
+    expected = 1.0 if t_opt == 0 else 0.5 * math.sin(t_opt / math.sqrt(2)) ** 2
     assert math.isclose(res.success, expected, abs_tol=1e-12)
-
-
-def test_search_interior_peak_is_not_flagged():
-    res = spatial_search(generate_path(2), marked=[1], start=[0], gamma_strategy=0.5, horizon=5.0)
-    assert abs(res.t_opt - math.pi / math.sqrt(2)) <= 1e-9
-    assert not res.peak_at_boundary
 
 
 @pytest.mark.filterwarnings("error")
