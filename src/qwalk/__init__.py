@@ -19,13 +19,9 @@ from .evolution import (
     evolve_quantum,
     evolve_classical,
     classical_generator,
-    classical_stationary,
     limiting_distribution,
     time_average_distribution,
     tv_distance,
-    l1_distance,
-    classical_fidelity,
-    sample_counts,
     basis_state,
     uniform_state,
     measure,

@@ -213,8 +213,10 @@ def spatial_search(g: Graph, marked, start=None, gamma_strategy="auto",
     the marked-set probability. For gamma_strategy="auto", gamma is tuned to
     maximize the peak success probability over (0, 2 / lambda_max] by
     ``_refined_peak``: a 25-point scan, refined by bounded Brent between the
-    grid neighbours of its best point; the default horizon sqrt(n) keeps the
-    tuner on the fast resonance, which is what makes t_opt scale as sqrt(n).
+    grid neighbours of its best point, which locates gamma to about
+    1.5e-8 * gamma, not to Brent's xatol (see ``_refined_peak``). The default
+    horizon sqrt(n) keeps the tuner on the fast resonance, which is what
+    makes t_opt scale as sqrt(n).
     ``peak_at_boundary`` flags a t_opt at 0 or at the horizon.
     Auto mode needs lambda_max > 0, i.e. an edge; a fixed gamma and the
     horizon must be finite, and a grid over 2**26 state-time values is
@@ -291,8 +293,11 @@ def gi_test(g1: Graph, g2: Graph, times=None, threshold: float = 0.05,
 
     Returns (verdict, per-time L1 distance trace). Verdict is
     "non-isomorphic" when the mean certificate distance exceeds the
-    threshold, else "consistent-with-isomorphic".
+    threshold, else "consistent-with-isomorphic". The threshold must be
+    finite and non-negative.
     """
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"threshold must be finite and non-negative, got {threshold}")
     if g1.n != g2.n:
         return "non-isomorphic", np.array([])
     c1 = graph_certificate(g1, kind, times)

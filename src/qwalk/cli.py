@@ -51,7 +51,6 @@ from .particles import (
     BOSON,
     ParticleKind,
     _pair_operator,
-    correlation_via_extended_walk,
     extended_graph,
     two_particle_correlation,
 )
@@ -236,23 +235,12 @@ def _graph_options(f):
 @click.option("--config", "config_path",
               type=click.Path(exists=True, dir_okay=False), default=None,
               help="JSON file of option defaults; unknown fields rejected.")
-@click.option("--threads", type=click.IntRange(min=1), default=None,
-              envvar="QWALK_THREADS",
-              help="Linear-algebra thread cap (fallback: env QWALK_THREADS). "
-                   "Results are independent of the thread count.")
 @click.pass_context
-def main(ctx, seed, out_dir, config_path, threads):
+def main(ctx, seed, out_dir, config_path):
     """Continuous-time quantum walk experiments."""
     ctx.ensure_object(dict)
     ctx.obj["seed"] = seed
     ctx.obj["out_dir"] = out_dir
-    if threads is not None:
-        try:
-            from threadpoolctl import threadpool_limits
-            ctx.obj["_limiter"] = threadpool_limits(limits=threads)
-        except ImportError:
-            click.echo(f"warning: thread cap {threads} not applied "
-                       "(threadpoolctl is not installed)", err=True)
     if config_path is not None:
         try:
             cfg = json.loads(Path(config_path).read_text())
@@ -344,11 +332,7 @@ def correlate_cmd(ctx, graph_file, family, size, p, m, particles, inputs, t):
         raise ValueError(f"--inputs a,b takes two comma-separated integers, got {inputs!r}") from None
     u = HermitianOperator.from_graph(g).propagator(t)
     basis, probs = two_particle_correlation(u, (a, b), kind)
-    payload = {"basis": basis.to_json_list(), "probabilities": probs}
-    if kind.tag != "phased":
-        _, probs_ext = correlation_via_extended_walk(g, kind, (a, b), t)
-        payload["extended_walk_max_error"] = float(np.abs(probs - probs_ext).max())
-    _report(ctx, "correlate", payload)
+    _report(ctx, "correlate", {"basis": basis.to_json_list(), "probabilities": probs})
 
 
 @main.command("hitting")

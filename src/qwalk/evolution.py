@@ -39,13 +39,9 @@ __all__ = [
     "evolve_quantum",
     "evolve_classical",
     "classical_generator",
-    "classical_stationary",
     "limiting_distribution",
     "time_average_distribution",
     "tv_distance",
-    "l1_distance",
-    "classical_fidelity",
-    "sample_counts",
 ]
 
 _HERMITICITY_TOL = 1e-10
@@ -308,11 +304,6 @@ def _evolve_classical_many(g: Graph, p0, times) -> np.ndarray:
     return np.stack([as_distribution(p, tol=1e-7) for p in series.T], axis=1)
 
 
-def classical_stationary(g: Graph) -> np.ndarray:
-    """Stationary distribution of Q = A - D from its null vector."""
-    return _stationary(_classical_spectrum(g))
-
-
 def evolve_classical(g: Graph, p0, t: float) -> np.ndarray:
     """p(t) = exp(Q t) p0 via the symmetric decomposition of Q."""
     return _evolve_classical_many(g, p0, [t])[:, 0]
@@ -361,28 +352,3 @@ def tv_distance(p, q) -> float:
     if p.shape != q.shape:
         raise ValueError("length mismatch")
     return 0.5 * float(np.abs(p - q).sum())
-
-
-def l1_distance(p, q) -> float:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError("length mismatch")
-    return float(np.abs(p - q).sum())
-
-
-def classical_fidelity(p, q) -> float:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError("length mismatch")
-    return float(np.sqrt(np.clip(p, 0, None) * np.clip(q, 0, None)).sum() ** 2)
-
-
-def sample_counts(p, shots: int, seed: int) -> np.ndarray:
-    """Multinomial shot counts, deterministic under seed."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    p = as_distribution(p)
-    rng = np.random.default_rng(np.uint64(seed))
-    return rng.multinomial(shots, p)

@@ -142,9 +142,6 @@ class Graph:
             labels=obj.get("labels"), layer_of=obj.get("layers"),
         )
 
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json())
-
     @classmethod
     def load(cls, path) -> "Graph":
         return cls.from_json(Path(path).read_text())

@@ -8,8 +8,9 @@ takes its spectrum from the base graph's: eigenvalues w_a + w_b and
 eigenvectors from the pair rule. ``two_particle_correlation`` computes
 output correlations directly from the single-particle unitary (permanent /
 determinant forms) and serves as the independent oracle for the
-extended-walk route, whose dense factorization survives only in
-``correlation_via_extended_walk``.
+extended-walk route. The dense factorization of the extended matrix
+survives only in ``correlation_via_extended_walk``, which only the tests
+and the benchmark call.
 """
 
 from __future__ import annotations

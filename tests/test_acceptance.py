@@ -7,6 +7,9 @@ way. Runtime budgets are asserted alongside the numerical checks.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from itertools import combinations
 from pathlib import Path
@@ -45,8 +48,10 @@ from qwalk import (
 )
 from qwalk.cli import main as cli_main
 
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 # the reproduce verdicts the benchmark's reproduce workload checks against
-VERDICTS = Path(__file__).resolve().parents[1] / "perfbench" / "verdicts.json"
+VERDICTS = ROOT / "perfbench" / "verdicts.json"
 
 
 def _verdict(num, name, ok, detail):
@@ -346,16 +351,19 @@ def test_criterion_9_reproduce_determinism(tmp_path):
         # check names and verdicts are the contract the benchmark holds
         summary = json.loads((d1 / f"fig{fig}" / "summary.json").read_text())
         assert {c["check"]: c["pass"] for c in summary["checks"]} == recorded[fig], fig
-    # thread-count invariance
+    # thread-count invariance: 3D in fresh processes under 1 and 2 OpenBLAS
+    # threads, which OpenBLAS reads from the environment when it loads
     dthreads = {}
     for threads in ("1", "2"):
         d = tmp_path / f"threads_{threads}"
-        res = runner.invoke(cli_main, ["--seed", "13", "--threads", threads,
-                                       "--out-dir", str(d), "reproduce", "3D"],
-                            catch_exceptions=False)
-        assert res.exit_code == 0, res.output
-        dthreads[threads] = (d / "fig3D" / "summary.json").read_bytes()
-    assert dthreads["1"] == dthreads["2"]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(SRC)}
+        res = subprocess.run([sys.executable, "-m", "qwalk.cli", "--seed", "13",
+                              "--out-dir", str(d), "reproduce", "3D"],
+                             env=env, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        dthreads[threads] = {p.relative_to(d): p.read_bytes()
+                             for p in d.rglob("*") if p.is_file()}
+    assert dthreads["1"] == dthreads["2"] and dthreads["1"]
     elapsed = time.monotonic() - t0
     _verdict(9, "reproduce determinism", True,
              f"8 bundles byte-identical across reruns and thread counts, "

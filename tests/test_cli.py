@@ -1,12 +1,13 @@
 """End-to-end CLI behavior: reports, determinism, exit codes."""
 
 import json
-import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from qwalk import BOSON, correlation_via_extended_walk, generate_cycle, generate_path, generate_star
 from qwalk.cli import main
 
 
@@ -49,8 +50,15 @@ def test_correlate_cross_check(runner, tmp_path):
                   "--size", "4", "--particles", "boson",
                   "--inputs", "0,2", "--time", "1.3"])
     report = json.loads((tmp_path / "correlate.json").read_text())
-    assert report["extended_walk_max_error"] < 1e-10
+    _, p_walk = correlation_via_extended_walk(generate_cycle(4), BOSON, (0, 2), 1.3)
+    assert np.abs(np.array(report["probabilities"]) - p_walk).max() < 1e-10
+    assert "extended_walk_max_error" not in report
     assert abs(sum(report["probabilities"]) - 1.0) < 1e-9
+
+
+def test_correlate_factorizes_only_the_base_graph(runner, tmp_path, eigh_calls):
+    _run(runner, ["--out-dir", str(tmp_path), "correlate", "--family", "er", "--size", "12"])
+    assert eigh_calls == [(12, 12)]
 
 
 @pytest.mark.parametrize("inputs", ["0", "0,1,2", "0,x", ""])
@@ -210,21 +218,13 @@ def test_reproduce_summary_writes_json_booleans(runner, tmp_path):
     assert '"pass": 0' not in text and '"pass": 1' not in text
 
 
-def test_unapplied_thread_cap_warns(runner, tmp_path, monkeypatch):
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
-    result = _run(runner, ["--threads", "1", "--out-dir", str(tmp_path),
-                           "graph", "--family", "path", "--size", "3"])
-    assert "thread cap 1 not applied" in result.stderr
-
-
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_invalid_thread_env_exit_2(runner, tmp_path, monkeypatch, value):
-    monkeypatch.setenv("QWALK_THREADS", value)
-    result = runner.invoke(main, ["--out-dir", str(tmp_path), "graph",
+def test_threads_option_is_gone_exit_2(runner, tmp_path):
+    result = runner.invoke(main, ["--threads", "1", "--out-dir", str(tmp_path), "graph",
                                   "--family", "path", "--size", "3"])
     assert result.exit_code == 2, result.output
-    assert "--threads" in result.output
-    assert not (tmp_path / "graph.json").exists()
+    assert "No such option" in result.output and "--threads" in result.output
+    assert "--threads" not in runner.invoke(main, ["--help"]).output
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("args", [
@@ -261,12 +261,24 @@ def test_seed_out_of_range_exit_2(runner, tmp_path, seed):
     (["topo", "--probe", "amcqm", "--flavor", "bbh", "--t-final", "-2"], "T must be positive, got -2.0"),
     (["hitting", "--family", "enet", "--t-max", "nan"], "t_max must be finite, got nan"),
     (["mixing", "--family", "enet", "--horizon", "inf"], "horizon must be finite, got inf"),
+    (["gi", "--graph1", "{path}", "--graph2", "{star}", "--threshold", "nan"],
+     "threshold must be finite and non-negative, got nan"),
+    (["gi", "--graph1", "{path}", "--graph2", "{star}", "--threshold", "inf"],
+     "threshold must be finite and non-negative, got inf"),
+    (["gi", "--graph1", "{cycle}", "--graph2", "{cycle}", "--threshold", "-1"],
+     "threshold must be finite and non-negative, got -1.0"),
 ], ids=["mixing-dt", "hitting-dt", "amcd-steps", "amcqm-steps", "amcqm-t", "hitting-nan",
-        "mixing-inf"])
+        "mixing-inf", "gi-threshold-nan", "gi-threshold-inf", "gi-threshold-negative"])
 def test_nonpositive_grid_exit_2(runner, tmp_path, args, message):
-    result = runner.invoke(main, ["--out-dir", str(tmp_path)] + args)
+    files = {}  # the graph files gi's cases name
+    for name, g in (("path", generate_path(4)), ("star", generate_star(4)),
+                    ("cycle", generate_cycle(4))):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(g.to_json())
+    result = runner.invoke(main, ["--out-dir", str(tmp_path)] + [a.format(**files) for a in args])
     assert result.exit_code == 2, result.output
     assert message in result.output
+    assert not (tmp_path / "gi.json").exists()
 
 
 @pytest.mark.parametrize("args, message", [

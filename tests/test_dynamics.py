@@ -15,7 +15,6 @@ from qwalk import (
     classical_generator,
     classical_hitting,
     classical_mixing_time,
-    classical_stationary,
     extended_graph,
     generate_cycle,
     generate_erdos_renyi,
@@ -168,7 +167,8 @@ def test_classical_mixing_k2_closed_form():
 
 def test_classical_mixing_from_stationary_immediate():
     g = generate_cycle(6)
-    res = classical_mixing_time(g, classical_stationary(g), 0.5, 10.0, 0.1)
+    pi = classical_mixing_time(g, basis_state(6, 0).real, 0.5, 10.0, 0.1).reference
+    res = classical_mixing_time(g, pi, 0.5, 10.0, 0.1)
     assert math.isclose(res.t_mix, 0.1)
 
 

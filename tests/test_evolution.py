@@ -1,4 +1,4 @@
-"""Spectral evolution, distances, and sampling."""
+"""Spectral evolution and distances."""
 
 import math
 
@@ -11,9 +11,8 @@ from qwalk import (
     BOSON,
     HermitianOperator,
     basis_state,
-    classical_fidelity,
     classical_generator,
-    classical_stationary,
+    classical_mixing_time,
     evolve_classical,
     evolve_quantum,
     extended_graph,
@@ -23,10 +22,8 @@ from qwalk import (
     generate_hypercube,
     generate_path,
     generate_star,
-    l1_distance,
     limiting_distribution,
     measure,
-    sample_counts,
     time_average_distribution,
     tv_distance,
 )
@@ -303,7 +300,7 @@ def test_classical_stationary_is_uniform_kernel_vector():
     # Q = A - D is symmetric, so its kernel is the all-ones vector and the
     # stationary distribution is uniform even on irregular graphs.
     g = generate_star(6)
-    pi = classical_stationary(g)
+    pi = classical_mixing_time(g, basis_state(6, 1).real, 0.5, 10.0, 0.1).reference
     assert np.allclose(pi, np.full(6, 1 / 6), atol=1e-10)
     p_long = evolve_classical(g, basis_state(6, 1).real, 200.0)
     assert tv_distance(p_long, pi) < 1e-8
@@ -387,46 +384,23 @@ def test_time_average_converges_on_path4():
     assert tv_distance(avg, limiting_distribution(h, psi0)) < 1e-2
 
 
-# -- distances and sampling ----------------------------------------------
+# -- distances -----------------------------------------------------------
 
 
 def test_distances_trivial_cases():
     p, q = [1.0, 0.0], [0.0, 1.0]
     assert tv_distance(p, p) == 0
-    assert l1_distance(p, p) == 0
-    assert classical_fidelity(p, p) == 1
     assert tv_distance(p, q) == 1
-    assert l1_distance(p, q) == 2
-    assert classical_fidelity(p, q) == 0
 
 
 def test_distances_hand_values():
     p, q = [0.5, 0.5], [0.25, 0.75]
     assert math.isclose(tv_distance(p, q), 0.25)
-    assert math.isclose(l1_distance(p, q), 0.5)
 
 
 def test_distance_length_mismatch():
     with pytest.raises(ValueError):
         tv_distance([1.0], [0.5, 0.5])
-
-
-def test_sample_counts_point_mass():
-    counts = sample_counts([0.0, 1.0, 0.0], shots=100, seed=0)
-    assert counts.tolist() == [0, 100, 0]
-
-
-def test_sample_counts_three_sigma():
-    shots = 10**6
-    counts = sample_counts(np.full(4, 0.25), shots=shots, seed=42)
-    sigma = math.sqrt(shots * 0.25 * 0.75)
-    assert np.abs(counts - shots * 0.25).max() < 3 * sigma
-
-
-def test_sample_counts_deterministic():
-    p = np.full(5, 0.2)
-    assert np.array_equal(sample_counts(p, 1000, seed=3),
-                          sample_counts(p, 1000, seed=3))
 
 
 def test_measure_of_uniform_complete_graph_walk():
