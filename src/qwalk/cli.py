@@ -360,6 +360,7 @@ def hitting_cmd(ctx, family, size, walker, t_max, dt):
         "target": target,
         "t_opt": res.t_opt,
         "efficiency": res.efficiency,
+        "peak_at_boundary": res.peak_at_boundary,
         "profile_csv": str(csv_path),
     }, size=size, **grid)
 

@@ -46,6 +46,7 @@ class ConvergenceError(RuntimeError):
 class HittingResult:
     t_opt: float
     efficiency: float
+    peak_at_boundary: bool  # t_opt is the first or last grid point: the window may cut the peak
     times: np.ndarray = field(repr=False)
     profile: np.ndarray = field(repr=False)
 
@@ -108,7 +109,8 @@ def _hitting(spectrum, start: int, target: int, t_max: float, dt: float, rate, r
     w, rows, coeffs = _fold(w, v[[target], :], v[start, :].conj(), times)
     t_opt, eff, profile = _refined_peak(
         lambda t: readout(_series(w, rows, coeffs, t, rate)[0]), times)
-    return HittingResult(t_opt=t_opt, efficiency=eff, times=times, profile=profile)
+    return HittingResult(t_opt=t_opt, efficiency=eff, peak_at_boundary=t_opt in (times[0], times[-1]),
+                         times=times, profile=profile)
 
 
 def quantum_hitting(h: HermitianOperator, start: int, target: int, t_max: float, dt: float) -> HittingResult:

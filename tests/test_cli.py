@@ -253,6 +253,27 @@ def test_seed_out_of_range_exit_2(runner, tmp_path, seed):
     assert not (tmp_path / "graph.json").exists()
 
 
+@pytest.mark.parametrize("family, size, walker, t_opt", [
+    ("ecube", None, "classical", 2000.0), ("ergt", "3", "classical", 2000.0),
+    ("ergt", None, "quantum", None)])
+def test_hitting_report_flags_a_peak_on_the_window_edge(runner, tmp_path, family, size, walker,
+                                                        t_opt):
+    _run(runner, ["--out-dir", str(tmp_path), "hitting", "--family", family, "--walker", walker]
+         + (["--size", size] if size else []))
+    report = json.loads((tmp_path / "hitting.json").read_text())
+    assert report["peak_at_boundary"] is (t_opt is not None)
+    if t_opt is not None:
+        assert report["t_opt"] == t_opt
+
+
+def test_classical_evolve_refuses_a_negative_time_exit_2(runner, tmp_path):
+    result = runner.invoke(main, ["--out-dir", str(tmp_path), "evolve", "--family", "cycle",
+                                  "--size", "6", "--walker", "classical", "--t-final", "-1"])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == "error: a classical walk runs forward only: times must be >= 0, got -1.0\n"
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("args, message", [
     (["mixing", "--family", "enet", "--dt", "0"], "dt must be positive, got 0.0"),
     (["hitting", "--family", "enet", "--dt", "-1"], "dt must be positive, got -1.0"),

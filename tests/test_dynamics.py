@@ -48,6 +48,15 @@ def test_k2_classical_hitting_half():
     assert math.isclose(res.efficiency, 0.5, abs_tol=1e-6)
 
 
+def test_hitting_flags_a_peak_on_the_window_edge():
+    # on K2 the transfer |sin t|^2 peaks at pi / 2
+    assert quantum_hitting(_k2(), 0, 1, 1.0, 0.01).peak_at_boundary
+    assert not quantum_hitting(_k2(), 0, 1, 3.0, 0.01).peak_at_boundary
+    # the classical transfer (1 - exp(-2t)) / 2 rises through the window
+    res = classical_hitting(generate_path(2), 0, 1, 1.0, 0.05)
+    assert res.peak_at_boundary and res.t_opt == 1.0
+
+
 def test_hitting_validation():
     with pytest.raises(ValueError):
         quantum_hitting(_k2(), 0, 0, 3.0, 0.01)

@@ -231,6 +231,82 @@ def test_fold_matches_the_unfolded_series(groups, n_rows, complex_coeffs, rate, 
     assert np.array_equal(blocks, full)
 
 
+def _direct_block(w, rows, coeffs, times, rate):
+    """One series block with one exp per phase value: the kernel without
+    its phase tables."""
+    phases = np.exp(rate * w[:, None] * times)
+    if phases.dtype.kind != "c":
+        phases[phases < evolution._FLUSH_BELOW] = 0.0
+    terms = phases if coeffs is None else phases * coeffs[:, None]
+    if len(rows) > 1 and terms.dtype.kind == "c" and rows.dtype.kind != "c":
+        return (rows @ terms.view(float)).view(complex)
+    return rows @ terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 6), n_rows=st.integers(1, 3), width=st.integers(9, 40),
+       length=st.sampled_from(["width-1", "width", "width+1", "square-1", "square", "square+1",
+                               "several"]),
+       grid=st.sampled_from(["arange", "linspace"]), start=st.floats(-1000.0, 1000.0),
+       step=st.floats(1e-3, 10.0), rate=st.sampled_from([-1j, 1]),
+       coeffs_kind=st.sampled_from(["none", "real", "complex"]), seed=st.integers(0, 2**16))
+def test_phase_tables_match_the_direct_exp(dim, n_rows, width, length, grid, start, step, rate,
+                                           coeffs_kind, seed):
+    side = math.isqrt(width)
+    points = {"width-1": width - 1, "width": width, "width+1": width + 1,
+              "square-1": side * side - 1, "square": side * side, "square+1": side * side + 1,
+              "several": 3 * width + 2}[length]
+    if rate == 1:
+        start = abs(start)  # classical readouts run forward from t >= 0
+    step = min(step, (2000.0 - abs(start)) / points)  # every |t| within 2000
+    if grid == "arange":
+        times = np.arange(points) * step + start
+    else:
+        times = np.linspace(start, start + step * (points - 1), points)
+    rng = np.random.default_rng(seed)
+    w = np.sort(rng.uniform(-10.0, 0.0 if rate == 1 else 10.0, dim))
+    rows = rng.normal(size=(n_rows, dim))
+    coeffs = {"none": None, "real": rng.normal(size=dim),
+              "complex": rng.normal(size=dim) + 1j * rng.normal(size=dim)}[coeffs_kind]
+    if rate == 1 and coeffs is not None:
+        coeffs = coeffs.real
+    expected = _direct_block(w, rows, coeffs, times, rate)
+    # the direct exp rounds its argument w t by up to half an ulp (1.8e-12 at
+    # |w t| = 2e4), the tables round two arguments and add the grid's drift,
+    # at most _TABLE_DRIFT * max|t|; so 1e-12 alone holds only for small |w t|
+    slack = (1.5 * np.finfo(float).eps + evolution._TABLE_DRIFT) * np.abs(w).max() * np.abs(times).max()
+    bound = (1e-12 + slack) * (np.abs(rows) @ (np.ones(dim) if coeffs is None else np.abs(coeffs)))
+    tabled = []
+    with pytest.MonkeyPatch.context() as mp:
+        # every block of 4 or more points takes the tables, at every size
+        mp.setattr(evolution, "_TABLE_VALUES", 0)
+        mp.setattr(evolution, "_BLOCK_VALUES", max(dim, n_rows) * width)
+        on_tables = evolution._on_tables
+        mp.setattr(evolution, "_on_tables", lambda *a: tabled.append(on_tables(*a)) or tabled[-1])
+        full = _series(w, rows, coeffs, times, rate)
+        blocks = np.concatenate(list(_series_blocks(w, rows, coeffs, times, rate)), axis=1)
+    assert tabled and all(tabled)
+    assert full.dtype == expected.dtype
+    assert (np.abs(full - expected) <= bound[:, None]).all()
+    assert np.array_equal(blocks, full)
+
+
+@pytest.mark.parametrize("case", ["sorted-random", "one-point", "under-the-gate"])
+def test_grids_off_the_tables_keep_the_direct_exp(case):
+    rng = np.random.default_rng(7)
+    dim, points = {"sorted-random": (64, 400), "one-point": (2**14, 1),
+                   "under-the-gate": (40, 400)}[case]
+    times = (np.sort(rng.uniform(0.0, 60.0, points)) if case == "sorted-random"
+             else np.arange(points) * 0.05)
+    assert (dim * points >= evolution._TABLE_VALUES) == (case != "under-the-gate")
+    w = np.sort(rng.uniform(-4.0, 0.0, dim))
+    rows = rng.normal(size=(3, dim))
+    for rate, coeffs in ((-1j, rng.normal(size=dim) + 1j * rng.normal(size=dim)),
+                         (1, rng.normal(size=dim)), (-1j, None)):
+        assert np.array_equal(_series(w, rows, coeffs, times, rate),
+                              _direct_block(w, rows, coeffs, times, rate))
+
+
 def test_fold_returns_a_series_it_cannot_shorten_unchanged(monkeypatch):
     h = _random_hermitian(6, 12)
     w, v = h.spectral_decompose()
@@ -256,6 +332,15 @@ def test_classical_t0_identity():
     g = generate_cycle(5)
     p0 = np.array([1.0, 0, 0, 0, 0])
     assert np.allclose(evolve_classical(g, p0, 0.0), p0)
+
+
+def test_classical_evolution_refuses_negative_times():
+    g = generate_cycle(5)
+    p0 = np.array([1.0, 0, 0, 0, 0])
+    with pytest.raises(ValueError, match=r"times must be >= 0, got -1\.0"):
+        evolve_classical(g, p0, -1.0)
+    with pytest.raises(ValueError, match=r"times must be >= 0, got -0\.5"):
+        evolution._evolve_classical_many(g, p0, [0.0, 1.0, -0.5])
 
 
 def test_classical_k2_long_time_uniform():
