@@ -18,10 +18,13 @@ from .evolution import (
     _check_series_size,
     _classical_spectrum,
     _fold,
+    _lump,
     _series,
     _series_blocks,
+    _sized,
     _stationary,
     as_distribution,
+    as_state,
     limiting_distribution,
 )
 from .graphs import Graph
@@ -160,18 +163,19 @@ def _mixing(eps: float, horizon: float, dt: float, dim: int, walk) -> MixingResu
     """Earliest grid time after which the TV distance of ``walk`` to its
     reference stays <= eps through the horizon.
 
-    ``walk(times)`` returns the reference and the distributions over the
-    ``dim`` states at those times as consecutive column blocks. Each block
-    is reduced to its stretch of the trace as it arrives, so no states x
-    points array is held.
+    ``walk(times)`` returns the reference over the ``dim`` states, the
+    ``_lump`` classes of its series and the distributions over one
+    representative state per class at those times as consecutive column
+    blocks. Each block is reduced to its stretch of the trace as it arrives,
+    each class weighted by its size, so no states x points array is held.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must be in (0, 1)")
     _check_grid(horizon, dt, dim, "horizon")
     times = np.arange(dt, horizon + dt / 2, dt)
-    reference, blocks = walk(times)
-    trace = np.concatenate([0.5 * np.abs(dists - reference[:, None]).sum(axis=0)
-                            for dists in blocks])
+    reference, (reps, sizes, _), blocks = walk(times)
+    ref = reference[reps, None]
+    trace = np.concatenate([0.5 * (sizes @ np.abs(dists - ref)) for dists in blocks])
     above = trace > eps
     if above[-1]:
         raise ConvergenceError("trace does not stay below epsilon; increase the horizon")
@@ -203,19 +207,27 @@ def quantum_mixing_time(h: HermitianOperator, psi0, eps: float, horizon: float, 
     distance of the average over (0, t]. The running average is carried
     across the series blocks, so memory does not grow with the horizon.
     """
+    psi0 = _sized(as_state(psi0), h.dim)
 
     def walk(times):
-        return limiting_distribution(h, psi0), _running_average(h._evolve_blocks(psi0, times))
+        reference = limiting_distribution(h, psi0)
+        w, rows, coeffs = h._folded(psi0, times)
+        classes = _lump(rows, coeffs, reference, times.size)
+        return reference, classes, _running_average(
+            _series_blocks(w, rows[classes[0]], coeffs, times, -1j))
 
     return _mixing(eps, horizon, dt, h.dim, walk)
 
 
 def classical_mixing_time(g: Graph, p0, eps: float, horizon: float, dt: float) -> MixingResult:
     """Classical mixing: p(t) converges pointwise, no time averaging."""
+    p0 = _sized(as_distribution(p0), g.n)
 
     def walk(times):
-        p = as_distribution(p0)
         w, v = spectrum = _classical_spectrum(g)
-        return _stationary(spectrum), _series_blocks(*_fold(w, v, v.T @ p, times), times, 1)
+        reference = _stationary(spectrum)
+        w, rows, coeffs = _fold(w, v, v.T @ p0, times)
+        classes = _lump(rows, coeffs, reference, times.size)
+        return reference, classes, _series_blocks(w, rows[classes[0]], coeffs, times, 1)
 
     return _mixing(eps, horizon, dt, g.n, walk)

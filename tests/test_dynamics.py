@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qwalk import (
@@ -26,6 +28,7 @@ from qwalk import (
     permute_graph,
     quantum_hitting,
     quantum_mixing_time,
+    time_average_distribution,
 )
 from qwalk import evolution
 
@@ -206,6 +209,14 @@ def test_mixing_validation():
         quantum_mixing_time(h, basis_state(2, 0), 0.25, 1.0, 0.5)
 
 
+def test_mixing_refuses_a_start_of_the_wrong_length():
+    g = generate_cycle(6)
+    with pytest.raises(ValueError, match="state dimension mismatch"):
+        quantum_mixing_time(HermitianOperator.from_graph(g), basis_state(5, 0), 0.25, 10.0, 0.1)
+    with pytest.raises(ValueError, match="state dimension mismatch"):
+        classical_mixing_time(g, basis_state(5, 0).real, 0.25, 10.0, 0.1)
+
+
 def test_quantum_mixing_stays_below_rule():
     h = HermitianOperator.from_graph(generate_cycle(5))
     res = quantum_mixing_time(h, basis_state(5, 0), 0.25, 100.0, 0.05)
@@ -312,3 +323,54 @@ def test_folded_mixing_on_the_boson_cycle_matches_the_unfolded_series(monkeypatc
     unfolded = quantum_mixing_time(h, psi0, 0.25, 200.0, 0.05)
     assert np.abs(folded.trace - unfolded.trace).max() <= 1e-12
     assert folded.t_mix == unfolded.t_mix
+
+
+# -- readouts on one state per class of equal rows -----------------------
+
+
+def _matches_trace(readout, times, trace, eps):
+    """The mixing ``readout()`` has the one-shot ``trace`` within 1e-12 and
+    its t_mix, or raises ConvergenceError where that trace ends above eps."""
+    if trace[-1] > eps:
+        with pytest.raises(ConvergenceError):
+            readout()
+        return
+    res = readout()
+    assert np.array_equal(res.times, times)
+    assert np.abs(res.trace - trace).max() <= 1e-12
+    assert res.t_mix == _one_shot_t_mix(times, trace, eps)
+
+
+@settings(max_examples=20, deadline=None)
+@given(base=st.one_of(st.tuples(st.just(generate_glued_tree), st.sampled_from([3, 5])),
+                      st.tuples(st.just(generate_cycle), st.integers(3, 16)),
+                      st.tuples(st.just(generate_hypercube), st.integers(3, 4))),
+       seed=st.integers(0, 2**16))
+def test_grouped_readouts_match_the_ungrouped_series(base, seed):
+    # a basis start keeps the symmetries of the relabelled graph that fix it,
+    # so its states fall into classes of equal rows
+    generate, size = base
+    rng = np.random.default_rng(seed)
+    g = generate(size)
+    _, ext = extended_graph(permute_graph(g, rng.permutation(g.n)), BOSON)
+    psi0 = basis_state(ext.n, int(rng.integers(ext.n)))
+    h = HermitianOperator.from_graph(ext)
+    w, v = h.spectral_decompose()
+
+    def probs(times):
+        return np.abs(v @ (np.exp(-1j * w[:, None] * times) * (v.T @ psi0)[:, None])) ** 2
+
+    times = np.arange(0.05, 200.0 + 0.025, 0.05)
+    running = np.cumsum(probs(times), axis=1) / np.arange(1, times.size + 1)
+    trace = 0.5 * np.abs(running - limiting_distribution(h, psi0)[:, None]).sum(axis=0)
+    _matches_trace(lambda: quantum_mixing_time(h, psi0, 0.25, 200.0, 0.05), times, trace, 0.25)
+
+    average = probs(np.linspace(0.1, 50.0, 500)).mean(axis=1)
+    assert np.abs(time_average_distribution(h, psi0, 50.0, 500) - average / average.sum()).max() <= 1e-12
+
+    p0 = psi0.real
+    wc, vc = HermitianOperator(classical_generator(ext)).spectral_decompose()
+    times = np.arange(0.05, 400.0 + 0.025, 0.05)
+    dists = vc @ (np.exp(wc[:, None] * times) * (vc.T @ p0)[:, None])
+    trace = 0.5 * np.abs(dists - 1.0 / ext.n).sum(axis=0)
+    _matches_trace(lambda: classical_mixing_time(ext, p0, 0.25, 400.0, 0.05), times, trace, 0.25)

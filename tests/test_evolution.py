@@ -462,6 +462,14 @@ def test_time_average_streams_to_the_one_shot_average():
     assert np.abs(avg - one_shot / one_shot.sum()).max() <= 1e-13
 
 
+def test_limiting_and_time_average_refuse_a_start_of_the_wrong_length():
+    h = HermitianOperator.from_graph(generate_cycle(6))
+    with pytest.raises(ValueError, match="state dimension mismatch"):
+        limiting_distribution(h, basis_state(5, 0))
+    with pytest.raises(ValueError, match="state dimension mismatch"):
+        time_average_distribution(h, basis_state(5, 0), 10.0, 100)
+
+
 def test_time_average_converges_on_path4():
     h = HermitianOperator.from_graph(generate_path(4))
     psi0 = basis_state(4, 0)
@@ -508,3 +516,52 @@ def test_real_matrix_factorized_in_real_arithmetic():
     assert hc.entries.dtype == np.complex128
     wc, vc = hc.spectral_decompose()
     assert vc.dtype == np.complex128 and wc.dtype == np.float64
+
+
+# -- classes of states with equal rows -----------------------------------
+
+
+def _corner_classes(base, rate):
+    """``_lump``'s classes for the mixing readout of the boson pair on
+    ``base`` from its corner (0, 0): quantum (rate -1j, horizon 200) or
+    classical (rate 1, horizon 400), dt 0.05."""
+    basis, ext = extended_graph(base, BOSON)
+    psi0 = basis_state(ext.n, basis.index(0, 0))
+    if rate == -1j:
+        h = HermitianOperator.from_graph(ext)
+        times = np.arange(0.05, 200.0 + 0.025, 0.05)
+        _, rows, coeffs = h._folded(psi0, times)
+        return evolution._lump(rows, coeffs, limiting_distribution(h, psi0), times.size)
+    w, v = spectrum = evolution._classical_spectrum(ext)
+    times = np.arange(0.05, 400.0 + 0.025, 0.05)
+    _, rows, coeffs = evolution._fold(w, v, v.T @ psi0.real, times)
+    return evolution._lump(rows, coeffs, evolution._stationary(spectrum), times.size)
+
+
+@pytest.mark.parametrize("base, rate, classes", [
+    (generate_cycle(40), -1j, 250), (generate_path(19), -1j, 190), (generate_path(19), 1, 190)])
+def test_lump_finds_the_classes_of_the_boson_pair(base, rate, classes):
+    reps, sizes, inverse = _corner_classes(base, rate)
+    n = base.n * (base.n + 1) // 2
+    assert len(reps) == len(sizes) == classes and len(inverse) == n
+    assert np.array_equal(inverse[reps], np.arange(classes))
+    assert np.array_equal(np.bincount(inverse), sizes)
+
+
+def test_lump_splits_a_run_whose_keys_collide_but_rows_differ():
+    rng = np.random.default_rng(5)
+    row, other = rng.normal(size=(2, 4))
+    # a step orthogonal to the fixed projection: equal keys, rows 1e-6 apart in L1
+    projection = np.cos(np.arange(4))
+    step = rng.normal(size=4)
+    step -= (step @ projection) / (projection @ projection) * projection
+    step *= 1e-6 / np.abs(step).sum()
+    rows = np.array([row, row + step, row, other, other + 1e-14])
+    reps, sizes, inverse = evolution._lump(rows, None, None, 10**6)
+    # the colliding run falls apart into single states; the next run stays one class
+    assert sorted(sizes.tolist()) == [1, 1, 1, 2]
+    assert len(set(inverse[:3].tolist())) == 3 and inverse[3] == inverse[4]
+    # on a short grid grouping does not pay, and every state is its own class
+    reps, sizes, inverse = evolution._lump(rows, None, None, 1)
+    assert np.array_equal(reps, np.arange(5)) and np.array_equal(inverse, np.arange(5))
+    assert np.array_equal(sizes, np.ones(5))
