@@ -224,9 +224,9 @@ def _lump(rows, coeffs, reference, points: int):
     Its key projects them on a fixed vector of entries in [-1, 1], so states
     within _LUMP_L1 of each other have keys within _LUMP_L1. The states,
     sorted by key, fall into the runs that ``_runs`` groups at _LUMP_L1. A run
-    is one class, represented by its first state, when each of its entries
-    lies within _LUMP_L1 of that state's; otherwise each of its states is a
-    class of its own. Grouping costs about four passes over ``rows`` and
+    is one class, represented by its first state, when the entries of every
+    state in it lie within L1 distance _LUMP_L1 of that first state's;
+    otherwise each of its states is a class of its own. Grouping costs about four passes over ``rows`` and
     _FOLD_OVERHEAD, and each state merged saves a pass over its row per time
     point; where even a single class would not pay, as on a short grid,
     every state is its own class.
