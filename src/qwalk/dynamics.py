@@ -25,6 +25,7 @@ from .evolution import (
     _stationary,
     as_distribution,
     as_state,
+    basis_state,
     limiting_distribution,
 )
 from .graphs import Graph
@@ -99,17 +100,23 @@ def _refined_peak(f, times: np.ndarray) -> tuple[float, float, np.ndarray]:
     return float(res.x), float(-res.fun), values
 
 
-def _hitting(spectrum, start: int, target: int, t_max: float, dt: float, rate, readout) -> HittingResult:
-    """Peak of readout(<target| V exp(rate Lambda t) V^dag |start>) over the grid."""
-    w, v = spectrum
-    if not (0 <= start < len(w) and 0 <= target < len(w)):
-        raise ValueError(f"start {start} and target {target} must lie in 0..{len(w) - 1}")
+def _check_hitting(dim: int, start: int, target: int, t_max: float, dt: float) -> None:
+    """Refuse a start or target outside the ``dim`` states, equal ones, or
+    the grid."""
+    if not (0 <= start < dim and 0 <= target < dim):
+        raise ValueError(f"start {start} and target {target} must lie in 0..{dim - 1}")
     if start == target:
         raise ValueError("start and target must differ")
-    _check_grid(t_max, dt, len(w))
+    _check_grid(t_max, dt, dim)
+
+
+def _hitting(w, row, coeffs, t_max: float, dt: float, rate, readout) -> HittingResult:
+    """Peak of readout(row @ exp(rate Lambda t) coeffs) over the grid, where
+    ``row`` is the eigenvectors' value at the target and ``coeffs`` the
+    start's expansion, or None where ``row`` carries it."""
     times = np.arange(0.0, t_max + dt / 2, dt)
     # Brent refines between grid points, so the grid bounds every |t| the fold must cover
-    w, rows, coeffs = _fold(w, v[[target], :], v[start, :].conj(), times)
+    w, rows, coeffs = _fold(w, row[None, :], coeffs, times)
     t_opt, eff, profile = _refined_peak(
         lambda t: readout(_series(w, rows, coeffs, t, rate)[0]), times)
     return HittingResult(t_opt=t_opt, efficiency=eff, peak_at_boundary=t_opt in (times[0], times[-1]),
@@ -118,13 +125,17 @@ def _hitting(spectrum, start: int, target: int, t_max: float, dt: float, rate, r
 
 def quantum_hitting(h: HermitianOperator, start: int, target: int, t_max: float, dt: float) -> HittingResult:
     """Probability profile |<target| exp(-iHt) |start>|^2 with refined peak."""
-    return _hitting(h.spectral_decompose(), start, target, t_max, dt, -1j,
-                    lambda amp: np.abs(amp) ** 2)
+    _check_hitting(h.dim, start, target, t_max, dt)
+    w, v = h.spectral_decompose()
+    return _hitting(w, v[target], v[start].conj(), t_max, dt, -1j, lambda amp: np.abs(amp) ** 2)
 
 
 def classical_hitting(g_ext: Graph, start: int, target: int, t_max: float, dt: float) -> HittingResult:
-    """Classical analogue: p_target(t) under the CTRW generator on g_ext."""
-    return _hitting(_classical_spectrum(g_ext), start, target, t_max, dt, 1, np.real)
+    """Classical analogue: p_target(t) under the CTRW generator on g_ext,
+    factorized on the cells of the walk from ``start``."""
+    _check_hitting(g_ext.n, start, target, t_max, dt)
+    w, terms, cells = _classical_spectrum(g_ext, basis_state(g_ext.n, start).real)
+    return _hitting(w, terms[cells[target]], None, t_max, dt, 1, np.real)
 
 
 def _fit_residuals(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -163,11 +174,12 @@ def _mixing(eps: float, horizon: float, dt: float, dim: int, walk) -> MixingResu
     """Earliest grid time after which the TV distance of ``walk`` to its
     reference stays <= eps through the horizon.
 
-    ``walk(times)`` returns the reference over the ``dim`` states, the
-    ``_lump`` classes of its series and the distributions over one
-    representative state per class at those times as consecutive column
-    blocks. Each block is reduced to its stretch of the trace as it arrives,
-    each class weighted by its size, so no states x points array is held.
+    ``walk(times)`` returns the reference over the ``dim`` states, classes
+    of states with equal series (``_lump``'s, or a classical walk's cells)
+    and the distributions over one representative state per class at those
+    times as consecutive column blocks. Each block is reduced to its stretch
+    of the trace as it arrives, each class weighted by its size, so no
+    states x points array is held.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must be in (0, 1)")
@@ -220,14 +232,15 @@ def quantum_mixing_time(h: HermitianOperator, psi0, eps: float, horizon: float, 
 
 
 def classical_mixing_time(g: Graph, p0, eps: float, horizon: float, dt: float) -> MixingResult:
-    """Classical mixing: p(t) converges pointwise, no time averaging."""
+    """Classical mixing: p(t) converges pointwise, no time averaging. p(t)
+    is constant on each cell of ``_classical_spectrum``, so the trace reads
+    one vertex per cell."""
     p0 = _sized(as_distribution(p0), g.n)
 
     def walk(times):
-        w, v = spectrum = _classical_spectrum(g)
-        reference = _stationary(spectrum)
-        w, rows, coeffs = _fold(w, v, v.T @ p0, times)
-        classes = _lump(rows, coeffs, reference, times.size)
-        return reference, classes, _series_blocks(w, rows[classes[0]], coeffs, times, 1)
+        w, terms, cells = _classical_spectrum(g, p0)
+        reference = _stationary(g, w, terms, cells)
+        classes = np.unique(cells, return_index=True)[1], np.bincount(cells), cells
+        return reference, classes, _series_blocks(*_fold(w, terms, None, times), times, 1)
 
     return _mixing(eps, horizon, dt, g.n, walk)

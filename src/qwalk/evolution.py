@@ -4,7 +4,14 @@ Quantum walks evolve as psi(t) = V exp(-i Lambda t) V^dag psi0 from a single
 Hermitian eigendecomposition, so each time point costs O(dim^2) after the
 one-off O(dim^3) factorization. Classical continuous-time random walks use
 the generator Q = A - D (unit rate per edge), which is symmetric for
-undirected graphs and handled by the same machinery.
+undirected graphs and handled by the same machinery, at the size of its
+equitable quotient: colour refinement from the start distribution's values
+splits the vertices into cells whose members have equally many neighbours
+in each cell, so exp(Q t) p0 stays constant on each cell, and Q acts on such
+vectors as a k x k matrix summed from the edge list (Godsil, Algebraic
+Combinatorics, 1993, ch. 5). On the boson pair of the 9-layer glued tree 125
+cells stand for 1,953 states; a graph without symmetry keeps one cell per
+vertex, and its quotient is Q itself.
 
 Every readout evaluates one spectral series, rows @ exp(rate Lambda t) coeffs,
 over its time points, in blocks of points whose phases and output each hold
@@ -15,11 +22,11 @@ than it costs. On the highly symmetric graphs (cycles, glued trees,
 hypercubes, lattices) that removes most terms; a non-degenerate spectrum is
 left as it is. Rows repeat too: two states whose folded rows are equal have
 equal amplitudes at every time (lumpability; Kemeny & Snell, Finite Markov
-Chains, 1960, ch. 6). So the readouts that read every state over many
-points, time averages and mixing traces, evaluate one representative row
-per class of equal rows, where that pays, and weight or copy it over its
-class; on the boson pair of the 7-layer glued tree 42 rows stand for 465
-states.
+Chains, 1960, ch. 6). So the quantum readouts that read every state over
+many points, time averages and mixing traces, evaluate one representative
+row per class of equal rows, where that pays, and weight or copy it over
+its class; on the boson pair of the 7-layer glued tree 42 rows stand for
+465 states. Classical readouts evaluate one row per cell.
 Readouts that keep every column (``evolve_many``, hitting profiles) get the
 blocks written into one array; readouts that reduce over time (time
 averages, mixing traces) consume the blocks one at a time and never hold a
@@ -44,7 +51,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import _MAX_DENSE_VALUES, Graph
+from .graphs import _MAX_DENSE_VALUES, Graph, _check_dense_size, _edge_arrays, _equitable
 
 __all__ = [
     "HermitianOperator",
@@ -192,7 +199,8 @@ def _fold(w, rows, coeffs, times: np.ndarray):
 
     Each run that ``_runs`` groups at _FOLD_PHASE / max|t| becomes one term:
     the run's midpoint as eigenvalue and its sum of rows * coeffs as column,
-    with ``None`` for the coefficients it carries (real when they are). Each
+    with ``None`` for the coefficients it carries (real when they are);
+    ``coeffs`` is None when ``rows`` carry them already. Each
     merged eigenvalue saves a pass over its column per time point; folding
     costs two passes over ``rows`` and _FOLD_OVERHEAD. Where that saves
     nothing, as for one time point or a small series, the inputs come back
@@ -209,10 +217,12 @@ def _fold(w, rows, coeffs, times: np.ndarray):
     starts = _runs(w, _FOLD_PHASE / t_max if t_max > 0 else np.inf)
     if not pays(len(starts)):
         return w, rows, coeffs
-    if np.iscomplexobj(coeffs) and not coeffs.imag.any():
-        coeffs = coeffs.real
+    if coeffs is not None:
+        if np.iscomplexobj(coeffs) and not coeffs.imag.any():
+            coeffs = coeffs.real
+        rows = rows * coeffs
     ends = np.append(starts[1:], len(w)) - 1
-    return 0.5 * (w[starts] + w[ends]), np.add.reduceat(rows * coeffs, starts, axis=1), None
+    return 0.5 * (w[starts] + w[ends]), np.add.reduceat(rows, starts, axis=1), None
 
 
 def _lump(rows, coeffs, reference, points: int):
@@ -394,20 +404,54 @@ def classical_generator(g: Graph) -> np.ndarray:
     return A - np.diag(A.sum(axis=1))
 
 
-def _classical_spectrum(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """The one factorization of Q = A - D: ascending rates, real eigenvectors."""
-    return HermitianOperator(classical_generator(g)).spectral_decompose()
+def _classical_spectrum(g: Graph, p0: np.ndarray):
+    """The one factorization of Q = A - D that the walk exp(Q t) p0 needs:
+    the ascending rates, one row of series terms per cell, and each vertex's
+    cell. A cell's row holds each eigenvector's value at the cell's vertices
+    times its coefficient in p0, so p(t) at those vertices is the row @
+    exp(rates t).
+
+    The cells are those of ``_equitable(g, p0)``. Q maps the vectors that are
+    constant on each cell to such vectors, so exp(Q t) p0 stays among them,
+    and Q restricted to them is the k x k quotient
+    B_ij = w(C_i, C_j) / sqrt(s_i s_j) - d_i [i = j], with w(C_i, C_j) the
+    edge weight between the cells (twice the weight inside a cell on the
+    diagonal), s_i the cell sizes and d_i their degree. B's eigenvectors,
+    scaled by 1 / sqrt(s_i), are the eigenvectors of Q on the cells. B is
+    summed exactly from the edge list, and with one vertex per cell it is Q
+    itself in vertex order.
+    """
+    cells = _equitable(g, p0)
+    k = int(cells.max()) + 1
+    _check_dense_size(k)
+    u, v, w = _edge_arrays(g)
+    sizes = np.bincount(cells)
+    a, b = cells[u], cells[v]
+    quotient = np.zeros((k, k))
+    np.add.at(quotient, (np.minimum(a, b), np.maximum(a, b)), w)
+    quotient += quotient.T
+    quotient /= np.sqrt(np.outer(sizes, sizes))
+    degree = np.bincount(np.concatenate((u, v)), np.tile(w, 2), minlength=g.n)
+    first = np.unique(cells, return_index=True)[1]
+    quotient[np.diag_indices(k)] -= degree[first]
+    rates, vectors = HermitianOperator(quotient).spectral_decompose()
+    rows = vectors / np.sqrt(sizes)[:, None]
+    return rates, rows * (rows.T @ (sizes * p0[first])), cells
 
 
-def _stationary(spectrum) -> np.ndarray:
-    """Stationary distribution from the null vector of Q."""
-    w, v = spectrum
-    kernel = np.abs(w) < 1e-9
-    if kernel.sum() != 1:
+def _stationary(g: Graph, rates: np.ndarray, terms: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Stationary distribution of the walk on ``g``: the null-rate term of
+    its series (``_classical_spectrum``), refused unless ``g`` is connected.
+
+    With a cell of one vertex, the vertices it reaches form whole cells, so
+    any other component is a union of cells whose indicator is one more
+    null vector. Without one, the cells of two components can merge, and
+    the graph's edges are searched instead.
+    """
+    kernel = np.abs(rates) < 1e-9
+    if kernel.sum() != 1 or (np.bincount(cells).min() > 1 and not g.is_connected()):
         raise ValueError("stationary distribution not unique (graph disconnected?)")
-    pi = v[:, kernel][:, 0]
-    if pi.sum() < 0:
-        pi = -pi
+    pi = terms[cells, np.flatnonzero(kernel)[0]]
     return as_distribution(pi / pi.sum(), tol=1e-6)
 
 
@@ -419,8 +463,8 @@ def _evolve_classical_many(g: Graph, p0, times) -> np.ndarray:
     times = _as_times(times)
     if times.size and times.min() < 0:
         raise ValueError(f"a classical walk runs forward only: times must be >= 0, got {times.min()}")
-    w, v = _classical_spectrum(g)
-    series = _series(*_fold(w, v, v.T @ p0, times), times, 1)
+    w, terms, cells = _classical_spectrum(g, p0)
+    series = _series(*_fold(w, terms, None, times), times, 1)[cells]
     return np.stack([as_distribution(p, tol=1e-7) for p in series.T], axis=1)
 
 

@@ -1,5 +1,6 @@
 """Weighted undirected graphs, the generators used throughout the package,
-and an exact isomorphism oracle (colour refinement with individualization).
+an exact isomorphism oracle (colour refinement with individualization), and
+the equitable partitions that classical walks are factorized on.
 
 Vertex ordering is fixed per family (BFS order for layered graphs, binary
 order for hypercubes) so that serialized outputs are bit-exact reproducible.
@@ -7,6 +8,7 @@ order for hypercubes) so that serialized outputs are bit-exact reproducible.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -344,6 +346,76 @@ def _refine(nbrs1, nbrs2, c1: list[int], c2: list[int]):
         count = len(palette)
         c1 = [palette[s] for s in s1]
         c2 = [palette[s] for s in s2]
+
+
+def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The endpoints and weights of ``g``'s edges as three arrays."""
+    flat = np.fromiter(itertools.chain.from_iterable(g.edges), float, count=3 * len(g.edges))
+    u, v, w = flat.reshape(-1, 3).T
+    return u.astype(np.intp), v.astype(np.intp), w
+
+
+# Seed of the table that ``_equitable`` draws in each call. Any fixed value
+# makes its cells deterministic; its exact check makes them right whatever
+# the draw.
+_SIGNATURE_SEED = 20220829
+
+
+def _signature_table(size: int) -> np.ndarray:
+    """``size`` uint64 draws from _SIGNATURE_SEED."""
+    return np.random.default_rng(_SIGNATURE_SEED).integers(0, 2**64, size, dtype=np.uint64)
+
+
+def _equitable(g: Graph, colours) -> np.ndarray:
+    """Each vertex's cell in the coarsest equitable partition of ``g`` that
+    refines ``colours``, with cells numbered in the order of their first
+    vertex. In an equitable partition, the members of a cell have equally
+    many neighbours in each cell across edges of each weight (Godsil,
+    *Algebraic Combinatorics*, 1993, ch. 5).
+
+    Colour refinement, one vectorized round at a time. A vertex's signature
+    sums, in uint64 arithmetic, a table entry for each neighbour's cell times
+    an odd table entry for the edge's weight. Each round ranks the vertices
+    by their cell and then their signature, and the rounds stop once the
+    cell count stops changing. Equal neighbourhoods always give equal sums,
+    so only a hash collision can leave a cell unsplit. A final exact check of
+    the neighbour counts catches that, and the partition then falls back to
+    one cell per vertex.
+    """
+    u, v, w = _edge_arrays(g)
+    kind = np.unique(w, return_inverse=True)[1]
+    ends, far, kind = np.concatenate((u, v)), np.concatenate((v, u)), np.tile(kind, 2)
+    table = _signature_table(g.n + len(w))
+    factors = table[g.n + kind] | np.uint64(1)
+    cells, count = np.unique(colours, return_inverse=True)[1], 0
+    while cells.max() + 1 != count:
+        count = cells.max() + 1
+        sums = np.zeros(g.n, np.uint64)
+        np.add.at(sums, ends, table[cells[far]] * factors)
+        order = np.lexsort((sums, cells))
+        ranked, sums = cells[order], sums[order]
+        split = (ranked[1:] != ranked[:-1]) | (sums[1:] != sums[:-1])
+        cells = np.empty(g.n, np.intp)
+        cells[order] = np.concatenate(([0], np.cumsum(split)))
+    _, first, cells = np.unique(cells, return_index=True, return_inverse=True)
+    cells = np.argsort(np.argsort(first))[cells]
+    return cells if _is_equitable(cells, ends, far, kind) else np.arange(g.n)
+
+
+def _is_equitable(cells, ends, far, kind) -> bool:
+    """Whether every vertex has, across its directed edges ``ends`` ->
+    ``far`` of weight class ``kind``, the same neighbour counts per (cell,
+    weight class) as the first vertex of its cell."""
+    order = np.lexsort((kind, cells[far], ends))
+    ends, near, kind = ends[order], cells[far][order], kind[order]
+    degree = np.bincount(ends, minlength=len(cells))
+    start = np.cumsum(degree) - degree
+    first = np.unique(cells, return_index=True)[1][cells]
+    if not np.array_equal(degree, degree[first]):
+        return False
+    # the same position in the first vertex's run of sorted edges
+    mirror = np.arange(len(ends)) - start[ends] + start[first[ends]]
+    return np.array_equal(near, near[mirror]) and np.array_equal(kind, kind[mirror])
 
 
 def _individualized(c1: list[int], c2: list[int], colour: int, fresh: int):

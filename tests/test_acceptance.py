@@ -351,19 +351,20 @@ def test_criterion_9_reproduce_determinism(tmp_path):
         # check names and verdicts are the contract the benchmark holds
         summary = json.loads((d1 / f"fig{fig}" / "summary.json").read_text())
         assert {c["check"]: c["pass"] for c in summary["checks"]} == recorded[fig], fig
-    # thread-count invariance: 3D in fresh processes under 1 and 2 OpenBLAS
-    # threads, which OpenBLAS reads from the environment when it loads
+    # thread-count invariance: 2A and 3D in fresh processes under 1 and 2
+    # OpenBLAS threads, which OpenBLAS reads from the environment when it loads
     dthreads = {}
     for threads in ("1", "2"):
         d = tmp_path / f"threads_{threads}"
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(SRC)}
-        res = subprocess.run([sys.executable, "-m", "qwalk.cli", "--seed", "13",
-                              "--out-dir", str(d), "reproduce", "3D"],
-                             env=env, capture_output=True, text=True)
-        assert res.returncode == 0, res.stderr
+        for fig in ("2A", "3D"):
+            res = subprocess.run([sys.executable, "-m", "qwalk.cli", "--seed", "13",
+                                  "--out-dir", str(d), "reproduce", fig],
+                                 env=env, capture_output=True, text=True)
+            assert res.returncode == 0, res.stderr
         dthreads[threads] = {p.relative_to(d): p.read_bytes()
                              for p in d.rglob("*") if p.is_file()}
-    assert dthreads["1"] == dthreads["2"] and dthreads["1"]
+    assert dthreads["1"] == dthreads["2"] and len({p.parts[0] for p in dthreads["1"]}) == 2
     elapsed = time.monotonic() - t0
     _verdict(9, "reproduce determinism", True,
              f"8 bundles byte-identical across reruns and thread counts, "

@@ -12,11 +12,13 @@ from scipy.linalg import expm
 from qwalk import (
     BOSON,
     ConvergenceError,
+    Graph,
     HermitianOperator,
     basis_state,
     classical_generator,
     classical_hitting,
     classical_mixing_time,
+    evolve_classical,
     extended_graph,
     generate_cycle,
     generate_erdos_renyi,
@@ -31,6 +33,7 @@ from qwalk import (
     time_average_distribution,
 )
 from qwalk import evolution
+from qwalk.dynamics import _refined_peak
 
 
 def _k2():
@@ -193,6 +196,16 @@ def test_mixing_eps_monotone():
     assert t_small >= t_large
 
 
+@pytest.mark.parametrize("p0", [[1.0, 0, 0, 0], [0.25] * 4, [0.4, 0.1, 0.4, 0.1]],
+                         ids=["vertex", "uniform", "mirrored"])
+def test_classical_mixing_refuses_a_disconnected_graph(p0):
+    # two disjoint edges: from a vertex the other edge is a cell of its own,
+    # while the even starts put both edges in the same cells
+    g = Graph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
+    with pytest.raises(ValueError, match="stationary distribution not unique"):
+        classical_mixing_time(g, p0, 0.25, 10.0, 0.1)
+
+
 def test_mixing_nonconvergence_raises():
     g = generate_cycle(12)
     p0 = np.zeros(12)
@@ -242,7 +255,8 @@ def test_enet_quantum_halves_classical():
 
 def test_classical_mixing_factorizes_generator_once(eigh_calls):
     classical_mixing_time(generate_cycle(7), np.eye(7)[0], 0.25, 100.0, 0.1)
-    assert eigh_calls == [(7, 7)]
+    # the quotient on the cells {0}, {1, 6}, {2, 5}, {3, 4} of the walk from vertex 0
+    assert eigh_calls == [(4, 4)]
 
 
 # -- streamed mixing readouts ---------------------------------------------
@@ -374,3 +388,66 @@ def test_grouped_readouts_match_the_ungrouped_series(base, seed):
     dists = vc @ (np.exp(wc[:, None] * times) * (vc.T @ p0)[:, None])
     trace = 0.5 * np.abs(dists - 1.0 / ext.n).sum(axis=0)
     _matches_trace(lambda: classical_mixing_time(ext, p0, 0.25, 400.0, 0.05), times, trace, 0.25)
+
+
+# -- classical walks on the cells of an equitable partition --------------
+
+
+def _er(n):
+    return generate_erdos_renyi(n, 0.3, seed=n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(base=st.one_of(st.tuples(st.just(generate_glued_tree), st.sampled_from([3, 5])),
+                      st.tuples(st.just(generate_cycle), st.integers(3, 16)),
+                      st.tuples(st.just(generate_hypercube), st.integers(3, 4)),
+                      st.tuples(st.just(generate_path), st.integers(2, 10)),
+                      st.tuples(st.just(_er), st.integers(8, 14))),
+       start_kind=st.sampled_from(["vertex", "uniform", "random"]),
+       seed=st.integers(0, 2**16))
+def test_classical_readouts_match_the_dense_generator(base, start_kind, seed):
+    # boson pairs of the relabelled symmetric families keep the symmetries
+    # that fix the start; a plain G(n, 0.3) refines to one cell per vertex
+    generate, size = base
+    rng = np.random.default_rng(seed)
+    g = generate(size)
+    g = permute_graph(g, rng.permutation(g.n))
+    if generate is not _er:
+        _, g = extended_graph(g, BOSON)
+    n = g.n
+    start, target = (int(x) for x in rng.choice(n, size=2, replace=False))
+    w, v = np.linalg.eigh(classical_generator(g))
+
+    def dists(p0, times):
+        return v @ (np.exp(w[:, None] * times) * (v.T @ p0)[:, None])
+
+    def profile(times):
+        return dists(np.eye(n)[start], times)[target]
+
+    res = classical_hitting(g, start, target, 40.0, 0.5)
+    assert np.abs(res.profile - profile(res.times)).max() <= 1e-12
+    assert abs(res.efficiency - _refined_peak(profile, res.times)[1]) <= 1e-12
+
+    p0 = {"vertex": np.eye(n)[start], "uniform": np.full(n, 1.0 / n),
+          "random": rng.random(n)}[start_kind]
+    p0 /= p0.sum()
+    # each route's null eigenvalue is off by a few eps, so the tail of its
+    # trace drifts by about eps ||Q|| t: up to 1.2e-12 apart at t = 400
+    times = np.arange(0.05, 200.0 + 0.025, 0.05)
+    trace = 0.5 * np.abs(dists(p0, times) - 1.0 / n).sum(axis=0)
+    _matches_trace(lambda: classical_mixing_time(g, p0, 0.25, 200.0, 0.05), times, trace, 0.25)
+    for t in (0.0, 0.7, 25.0):
+        assert np.abs(evolve_classical(g, p0, t) - dists(p0, np.array([t]))[:, 0]).max() <= 1e-12
+
+
+def test_classical_walks_on_the_9_layer_boson_pair_factorize_125_cells(eigh_calls):
+    # 1,953 states: the full generator's eigh takes about a second
+    basis, ext = extended_graph(generate_glued_tree(9), BOSON)
+    start = basis.index(0, 0)
+    res = classical_hitting(ext, start, basis.index(61, 61), 2000.0, 2.0)
+    assert eigh_calls == [(125, 125)]
+    assert res.efficiency >= 1.0 / ext.n - 1e-12
+    eigh_calls.clear()
+    res = classical_mixing_time(ext, basis_state(ext.n, start).real, 0.25, 400.0, 0.05)
+    assert eigh_calls == [(125, 125)]
+    assert np.abs(res.reference - 1.0 / ext.n).max() <= 1e-12

@@ -532,10 +532,10 @@ def _corner_classes(base, rate):
         times = np.arange(0.05, 200.0 + 0.025, 0.05)
         _, rows, coeffs = h._folded(psi0, times)
         return evolution._lump(rows, coeffs, limiting_distribution(h, psi0), times.size)
-    w, v = spectrum = evolution._classical_spectrum(ext)
+    w, v = HermitianOperator(classical_generator(ext)).spectral_decompose()
     times = np.arange(0.05, 400.0 + 0.025, 0.05)
     _, rows, coeffs = evolution._fold(w, v, v.T @ psi0.real, times)
-    return evolution._lump(rows, coeffs, evolution._stationary(spectrum), times.size)
+    return evolution._lump(rows, coeffs, np.full(ext.n, 1.0 / ext.n), times.size)
 
 
 @pytest.mark.parametrize("base, rate, classes", [

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwalk import (
+    BOSON,
     Graph,
     brute_force_isomorphic,
     cartesian_power,
+    extended_graph,
     generate_complete,
     generate_cycle,
     generate_erdos_renyi,
@@ -23,6 +25,7 @@ from qwalk import (
     generate_star,
     permute_graph,
 )
+from qwalk import graphs
 
 
 # -- Graph type ----------------------------------------------------------
@@ -370,3 +373,53 @@ def test_oracle_matches_networkx_vf2(n, family, mode, seed):
     expected = nx.is_isomorphic(to_nx(g1), to_nx(g2),
                                 edge_match=lambda a, b: a["weight"] == b["weight"])
     assert brute_force_isomorphic(g1, g2) == expected
+
+
+# -- equitable partitions -------------------------------------------------
+
+
+def _assert_equitable(g, cells):
+    """Every member of a cell has the same neighbour count in each cell
+    across edges of each weight."""
+    adj = g.adjacency()
+    onehot = np.eye(cells.max() + 1)[cells]
+    for weight in np.unique(adj[adj != 0]):
+        counts = (adj == weight) @ onehot
+        assert np.array_equal(counts, counts[np.unique(cells, return_index=True)[1]][cells])
+
+
+@pytest.mark.parametrize("base, count", [
+    (generate_glued_tree(3), 13), (generate_glued_tree(5), 34), (generate_glued_tree(7), 70),
+    (generate_glued_tree(9), 125), (generate_cycle(20), 111)],
+    ids=["tree3", "tree5", "tree7", "tree9", "cycle20"])
+def test_equitable_cells_of_the_boson_pair_from_the_corner(base, count):
+    basis, ext = extended_graph(base, BOSON)
+    start = np.arange(ext.n) == basis.index(0, 0)
+    cells = graphs._equitable(ext, start)
+    assert cells.max() + 1 == count
+    # numbered by first vertex
+    first = np.unique(cells, return_index=True)[1]
+    assert first[0] == 0 and np.all(np.diff(first) > 0)
+    assert np.array_equal(cells, graphs._equitable(ext, start))
+    _assert_equitable(ext, cells)
+
+
+def test_equitable_splits_by_edge_weight():
+    uniform = np.zeros(3)
+    assert graphs._equitable(generate_path(3), uniform).tolist() == [0, 1, 0]
+    weighted = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)])
+    assert graphs._equitable(weighted, uniform).tolist() == [0, 1, 2]
+
+
+def test_equitable_keeps_a_random_graph_discrete():
+    g = generate_erdos_renyi(12, 0.3, seed=3)
+    assert np.array_equal(graphs._equitable(g, np.arange(12) == 5), np.arange(12))
+
+
+def test_equitable_falls_back_to_one_cell_per_vertex_when_signatures_collide(monkeypatch):
+    # an all-zero table gives every vertex one signature, so no cell splits
+    monkeypatch.setattr(graphs, "_signature_table", lambda size: np.zeros(size, np.uint64))
+    # one cell is equitable on a cycle and stands
+    assert np.array_equal(graphs._equitable(generate_cycle(6), np.zeros(6)), np.zeros(6))
+    # on a path the ends have one neighbour and the rest two: the check fails
+    assert np.array_equal(graphs._equitable(generate_path(5), np.zeros(5)), np.arange(5))
