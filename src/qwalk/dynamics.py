@@ -234,12 +234,15 @@ def quantum_mixing_time(h: HermitianOperator, psi0, eps: float, horizon: float, 
 def classical_mixing_time(g: Graph, p0, eps: float, horizon: float, dt: float) -> MixingResult:
     """Classical mixing: p(t) converges pointwise, no time averaging. p(t)
     is constant on each cell of ``_classical_spectrum``, so the trace reads
-    one vertex per cell."""
+    one vertex per cell. The reference is the series' null-rate term, which
+    eigh leaves a few eps off zero; held at zero, it stays the reference
+    instead of drifting the trace by about eps ||Q|| t / 2."""
     p0 = _sized(as_distribution(p0), g.n)
 
     def walk(times):
         w, terms, cells = _classical_spectrum(g, p0)
         reference = _stationary(g, w, terms, cells)
+        w = np.where(np.abs(w) < 1e-9, 0.0, w)
         classes = np.unique(cells, return_index=True)[1], np.bincount(cells), cells
         return reference, classes, _series_blocks(*_fold(w, terms, None, times), times, 1)
 
