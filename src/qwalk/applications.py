@@ -10,6 +10,7 @@ import numpy as np
 from .dynamics import _refined_peak
 from .evolution import (
     HermitianOperator,
+    _as_times,
     _check_series_size,
     _series,
     limiting_distribution,
@@ -17,7 +18,7 @@ from .evolution import (
     uniform_state,
 )
 from .graphs import Graph
-from .particles import BOSON, ParticleKind, build_extended_hamiltonian
+from .particles import BOSON, ExtendedBasis, ParticleKind, _pair_evolve, build_extended_hamiltonian
 
 __all__ = [
     "CentralityReport",
@@ -269,20 +270,22 @@ class GraphCertificate:
 def graph_certificate(g: Graph, kind: ParticleKind = BOSON, times=None) -> GraphCertificate:
     """Relabeling-invariant certificate: sorted walk distributions over time.
 
-    The boson-pair walk starts in the uniform superposition over extended
-    basis states; sorting the measured probabilities removes all vertex
-    labeling information, so isomorphic graphs produce identical
-    certificates.
+    The pair walk (boson by default; distinguishable and fermion pairs too)
+    starts in the uniform superposition over extended basis states; sorting
+    the measured probabilities removes all vertex labeling information, so
+    isomorphic graphs produce identical certificates. The pair is evolved as
+    an n x n mode matrix from one eigh of ``g`` (``particles._pair_evolve``),
+    so the extended graph is never built. Phased pairs, a base of fewer than
+    2 vertices, non-finite or descending times and a grid of more than 2**26
+    state-time values are refused before the eigh.
     """
     if times is None:
         times = np.linspace(0.5, 5.0, 10)
-    times = np.asarray(times, dtype=float)
+    times = _as_times(times)
     if len(times) == 0 or np.any(np.diff(times) < 0):
         raise ValueError("times must be nonempty and ascending")
-    basis, h_ext = build_extended_hamiltonian(g, kind)
-    psi0 = uniform_state(len(basis))
-    states = h_ext.evolve_many(psi0, times)
-    probs = np.abs(states) ** 2
+    basis = ExtendedBasis(g.n, kind)
+    probs = np.abs(_pair_evolve(g, basis, uniform_state(len(basis)), times)) ** 2
     profiles = np.sort(probs, axis=0)[::-1].T  # descending per time point
     return GraphCertificate(times=times, sorted_profiles=profiles)
 

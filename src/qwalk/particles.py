@@ -5,12 +5,17 @@ walk on an extended graph whose size depends on the exchange symmetry:
 n^2 states for distinguishable particles, C(n+1, 2) for bosons and
 C(n, 2) for fermions. The extended operator of non-interacting particles
 takes its spectrum from the base graph's: eigenvalues w_a + w_b and
-eigenvectors from the pair rule. ``two_particle_correlation`` computes
-output correlations directly from the single-particle unitary (permanent /
-determinant forms) and serves as the independent oracle for the
-extended-walk route. The dense factorization of the extended matrix
-survives only in ``correlation_via_extended_walk``, which only the tests
-and the benchmark call.
+eigenvectors from the pair rule. The quantum hitting and mixing readouts
+(``_dyn_setup`` in the CLI) and ``qw_centrality`` still build that extended
+matrix and check the pair rule against it. Graph certificates never build
+it: ``_pair_evolve`` evolves the pair as an n x n mode matrix,
+Psi(t) = U(t) Psi0 U(t)^T, from the one n x n factorization of the base
+graph. ``two_particle_correlation`` computes output correlations directly
+from the single-particle unitary (permanent / determinant forms) and serves
+as the independent oracle for the extended-walk route. The dense
+factorization of the extended matrix survives only in
+``correlation_via_extended_walk``, which only the tests and the benchmark
+call.
 """
 
 from __future__ import annotations
@@ -20,7 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import HermitianOperator, as_distribution, basis_state, evolve_quantum, measure
+from .evolution import (
+    _BLOCK_VALUES,
+    HermitianOperator,
+    _check_series_size,
+    as_distribution,
+    basis_state,
+    evolve_quantum,
+    measure,
+)
 from .graphs import Graph, _check_dense_size, cartesian_power
 
 __all__ = [
@@ -131,6 +144,9 @@ class ExtendedBasis:
         return [list(s) for s in self.states]
 
 
+_PHASED_HAS_NO_GRAPH = "phased exchange has no real extended graph; use correlations"
+
+
 def extended_graph(g: Graph, kind: ParticleKind) -> tuple[ExtendedBasis, Graph]:
     """Extended graph S (A(x)I + I(x)A) S^dag, built from the base edges.
 
@@ -141,7 +157,7 @@ def extended_graph(g: Graph, kind: ParticleKind) -> tuple[ExtendedBasis, Graph]:
     Distinguishable pairs give the Cartesian square of g.
     """
     if kind.tag == "phased":
-        raise ValueError("phased exchange has no real extended graph; use correlations")
+        raise ValueError(_PHASED_HAS_NO_GRAPH)
     basis = ExtendedBasis(g.n, kind)
     _check_dense_size(len(basis))  # before any extended edge is built
     if kind.tag == "distinguishable":
@@ -196,6 +212,44 @@ def _pair_operator(g: Graph, basis: ExtendedBasis, ext: Graph) -> HermitianOpera
     h = HermitianOperator(entries)
     h._set_spectrum(w[a] + w[b], vecs)
     return h
+
+
+def _pair_evolve(g: Graph, basis: ExtendedBasis, psi0, times: np.ndarray) -> np.ndarray:
+    """Extended-basis amplitudes of the pair walk on ``g`` from ``psi0`` at
+    ``times``, one column per time, from the one n x n eigh of ``g``.
+
+    The pair is the mode matrix Psi: Psi0_ij = a for a distinguishable state
+    (i, j) of amplitude a; for bosons and fermions Psi0_ij = a / sqrt(2) and
+    Psi0_ji = xi a / sqrt(2) (xi = +1 or -1) off the diagonal, and
+    Psi0_ii = a for a doubly occupied boson state. With base eigenpairs
+    (w, V), Psi(t) = U Psi0 U^T = W C W^T, where C = V^T Psi0 V and
+    W = V diag(exp(-i w t)). A state's amplitude is read back as Psi_ij,
+    times sqrt(2) off the diagonal for bosons and fermions, so its
+    probability is |Psi_ii|^2 or 2 |Psi_ij|^2. The grid is refused before the
+    eigh when it holds over 2**26 state-time values. All times are one
+    batched product, split into blocks of about _BLOCK_VALUES mode-matrix
+    entries only past that size, so a grid at the limit does not hold three
+    times x n x n arrays of about 2**27 values each.
+    """
+    if basis.kind.tag == "phased":
+        raise ValueError(_PHASED_HAS_NO_GRAPH)
+    _check_series_size(len(basis), len(times))
+    w, v = HermitianOperator.from_graph(g).spectral_decompose()
+    i, j = basis._modes
+    psi = np.zeros((g.n, g.n), dtype=complex)
+    if basis.kind.tag == "distinguishable":
+        scale = 1.0
+    else:
+        scale = np.where(i == j, 1.0, math.sqrt(0.5))
+        psi[j, i] = basis.kind.exchange_phase.real * scale * psi0
+    psi[i, j] = scale * psi0  # a boson's doubly occupied entry is written twice, equally
+    c = v.T @ psi @ v
+    out = np.empty((len(basis), len(times)), dtype=complex)
+    step = max(1, _BLOCK_VALUES // g.n**2)
+    for lo in range(0, len(times), step):
+        wt = v * np.exp(-1j * np.multiply.outer(times[lo:lo + step], w))[:, None, :]
+        out[:, lo:lo + step] = ((wt @ c @ wt.transpose(0, 2, 1))[:, i, j] / scale).T
+    return out
 
 
 def _check_unitary(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:

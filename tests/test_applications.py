@@ -1,6 +1,7 @@
 """Centrality, spatial search, and isomorphism certificates."""
 
 import math
+import re
 import tracemalloc
 from unittest.mock import patch
 
@@ -13,6 +14,7 @@ from qwalk import (
     BOSON,
     DISTINGUISHABLE,
     FERMION,
+    ExtendedBasis,
     HermitianOperator,
     brute_force_isomorphic,
     cartesian_power,
@@ -497,6 +499,45 @@ def test_certificate_times_validation():
         graph_certificate(generate_path(3), times=[])
     with pytest.raises(ValueError):
         graph_certificate(generate_path(3), times=[2.0, 1.0])
+    with pytest.raises(ValueError, match="times must be finite"):
+        graph_certificate(generate_path(3), times=[0.0, float("nan")])
+
+
+def test_certificate_refuses_a_phased_pair_as_extended_graph_does(eigh_calls):
+    with pytest.raises(ValueError) as phased_graph:
+        extended_graph(generate_path(3), phased(0.4))
+    with pytest.raises(ValueError, match="phased exchange has no real extended graph") as refused:
+        graph_certificate(generate_path(3), phased(0.4))
+    assert str(refused.value) == str(phased_graph.value)
+    assert eigh_calls == []
+
+
+def test_certificate_refuses_a_one_vertex_base_as_extended_basis_does():
+    with pytest.raises(ValueError) as basis:
+        ExtendedBasis(1, BOSON)
+    with pytest.raises(ValueError, match="at least 2 vertices") as refused:
+        graph_certificate(Graph.from_edges(1, []))
+    assert str(refused.value) == str(basis.value)
+
+
+def test_certificate_refuses_an_oversized_grid_before_the_eigh(eigh_calls):
+    # 210 boson states x 400,000 times is 8.4e7 state-time values, over 2**26
+    g = generate_erdos_renyi(20, 0.3, seed=4)
+    with pytest.raises(ValueError, match=re.escape("4e+05 points on 210 states has 8.4e+07 "
+                                                   "state-time values, over the limit of 2**26")):
+        graph_certificate(g, times=np.linspace(0.0, 1.0, 400_000))
+    assert eigh_calls == []
+
+
+def test_certificate_at_3240_pair_states():
+    # 3,240 boson states on G(80, 0.1); the certificate builds no extended matrix
+    g = generate_erdos_renyi(80, 0.1, seed=12)
+    perm = list(np.random.default_rng(3).permutation(80))
+    c1 = graph_certificate(g)
+    c2 = graph_certificate(permute_graph(g, perm))
+    assert c1.sorted_profiles.shape == (10, 3240)
+    assert np.abs(c1.sorted_profiles - c2.sorted_profiles).max() < 1e-10
+    assert np.abs(c1.sorted_profiles.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 # -- gi test -------------------------------------------------------------

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qwalk import BOSON, correlation_via_extended_walk, generate_cycle, generate_path, generate_star
+from qwalk import (
+    BOSON,
+    correlation_via_extended_walk,
+    generate_cycle,
+    generate_path,
+    generate_star,
+    permute_graph,
+)
 from qwalk.cli import main
 
 
@@ -92,6 +99,19 @@ def test_oversized_extended_graph_exit_2(runner, tmp_path):
     assert result.exit_code == 2, result.output
     assert "dense adjacency of 8515 vertices" in result.output
     assert "over the limit of 2**26" in result.output
+
+
+def test_gi_takes_a_base_past_the_extended_size_limit(runner, tmp_path):
+    # 130 vertices have the 8,515 boson states that centrality refuses above;
+    # a certificate builds no extended graph, so gi runs
+    g = generate_cycle(130)
+    (tmp_path / "a.json").write_text(g.to_json())
+    (tmp_path / "b.json").write_text(
+        permute_graph(g, list(np.random.default_rng(0).permutation(130))).to_json())
+    _run(runner, ["--out-dir", str(tmp_path), "gi", "--graph1", str(tmp_path / "a.json"),
+                  "--graph2", str(tmp_path / "b.json")])
+    report = json.loads((tmp_path / "gi.json").read_text())
+    assert report["verdict"] == "consistent-with-isomorphic"
 
 
 @pytest.mark.filterwarnings("error")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwalk import (
@@ -27,7 +27,8 @@ from qwalk import (
     phased,
     two_particle_correlation,
 )
-from qwalk.evolution import as_distribution
+from qwalk.evolution import as_distribution, uniform_state
+from qwalk.particles import _pair_evolve
 
 
 def _coupler():
@@ -171,8 +172,8 @@ def _dense_extended(g, kind):
 
 
 @st.composite
-def _weighted_graphs(draw):
-    n = draw(st.integers(2, 7))
+def _weighted_graphs(draw, max_n=7):
+    n = draw(st.integers(2, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
     weights = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(chosen),
@@ -200,6 +201,28 @@ def test_pair_factorization_matches_dense_eigh(g, tag):
     psi0 = np.random.default_rng(g.n).normal(size=h.dim) + 0j
     psi0 /= np.linalg.norm(psi0)
     assert np.abs(h.evolve_many(psi0, times) - dense.evolve_many(psi0, times)).max() <= 1e-10
+
+
+@given(g=_weighted_graphs(max_n=8), tag=st.sampled_from(["distinguishable", "boson", "fermion"]),
+       later=st.lists(st.floats(0.0, 5.0), max_size=6), seed=st.integers(0, 2**16))
+@example(g=Graph.from_edges(4, []), tag="boson", later=[1.0], seed=0)
+@example(g=Graph.from_edges(5, [(0, 1, 1.0), (2, 3, -0.5), (3, 4, 2.0)]), tag="fermion",
+         later=[0.5, 3.0], seed=1)
+@settings(max_examples=80, deadline=None)
+def test_pair_evolve_matches_the_dense_extended_walk(g, tag, later, seed):
+    # the oracle factorizes the extended graph itself; the pair rule is not used
+    kind = ParticleKind(tag)
+    basis, ext = extended_graph(g, kind)
+    dense = HermitianOperator.from_graph(ext)
+    times = np.array([0.0] + sorted(later))
+    psi0 = uniform_state(len(basis))
+    probs = np.abs(_pair_evolve(g, basis, psi0, times)) ** 2
+    assert np.abs(probs - np.abs(dense.evolve_many(psi0, times)) ** 2).max() <= 1e-12
+    rng = np.random.default_rng(seed)
+    psi0 = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+    psi0 /= np.linalg.norm(psi0)
+    amps = _pair_evolve(g, basis, psi0, times)
+    assert np.abs(amps - dense.evolve_many(psi0, times)).max() <= 1e-12
 
 
 def test_readme_quickstart_runs_verbatim(capsys):
