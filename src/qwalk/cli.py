@@ -517,9 +517,10 @@ def _fig_hitting(fig_dir, family):
     extra = {"quantum": {"t_opt": qr.t_opt, "efficiency": qr.efficiency},
              "classical": {"t_opt": cr.t_opt, "efficiency": cr.efficiency}}
     if family == "ergt":
-        # decay-shape comparison across tree depths
-        q_res, c_res = {}, {}
-        for layers in (3, 5, 7):
+        # decay-shape comparison across tree depths; the default depth's
+        # results are the headline ones above
+        q_res, c_res = {setup[0]: qr}, {setup[0]: cr}
+        for layers in (3, 7):
             setup = _dyn_setup(family, layers)
             q_res[layers], _ = _hitting(setup, "quantum")
             c_res[layers], _ = _hitting(setup, "classical")

@@ -1,6 +1,8 @@
 """Weighted undirected graphs, the generators used throughout the package,
-an exact isomorphism oracle (colour refinement with individualization), and
-the equitable partitions that classical walks are factorized on.
+and one vectorized colour refinement (``_rounds``) with its two uses: an
+exact isomorphism oracle, which refines the disjoint union of two graphs
+with individualization, and the equitable partitions that classical walks
+are factorized on.
 
 Vertex ordering is fixed per family (BFS order for layered graphs, binary
 order for hypercubes) so that serialized outputs are bit-exact reproducible.
@@ -11,7 +13,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -326,28 +327,6 @@ def _neighbours(g: Graph) -> list[list[tuple[int, float]]]:
     return nbrs
 
 
-def _refine(nbrs1, nbrs2, c1: list[int], c2: list[int]):
-    """Jointly refine two colourings until stable (1-WL); None once their
-    colour histograms differ.
-
-    A vertex's new colour is its old colour plus the sorted multiset of
-    (neighbour colour, edge weight). One palette, the sorted signatures,
-    numbers the colours of both graphs, so ids compare across them.
-    """
-    count = None
-    while True:
-        s1 = [(c1[v], tuple(sorted((c1[u], w) for u, w in nb))) for v, nb in enumerate(nbrs1)]
-        s2 = [(c2[v], tuple(sorted((c2[u], w) for u, w in nb))) for v, nb in enumerate(nbrs2)]
-        if Counter(s1) != Counter(s2):
-            return None
-        palette = {s: k for k, s in enumerate(sorted(set(s1)))}
-        if len(palette) == count:
-            return c1, c2
-        count = len(palette)
-        c1 = [palette[s] for s in s1]
-        c2 = [palette[s] for s in s2]
-
-
 def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The endpoints and weights of ``g``'s edges as three arrays."""
     flat = np.fromiter(itertools.chain.from_iterable(g.edges), float, count=3 * len(g.edges))
@@ -355,15 +334,50 @@ def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u.astype(np.intp), v.astype(np.intp), w
 
 
-# Seed of the table that ``_equitable`` draws in each call. Any fixed value
-# makes its cells deterministic; its exact check makes them right whatever
-# the draw.
+# Seed of the table that ``_rounds`` hashes with. Any fixed value makes the
+# cells deterministic; neither ``_equitable`` (by its exact check) nor the
+# oracle (by its search) is wrong whatever the draw.
 _SIGNATURE_SEED = 20220829
 
 
 def _signature_table(size: int) -> np.ndarray:
     """``size`` uint64 draws from _SIGNATURE_SEED."""
     return np.random.default_rng(_SIGNATURE_SEED).integers(0, 2**64, size, dtype=np.uint64)
+
+
+def _directed(n: int, u, v, w):
+    """The edges ``u``-``v`` of weight ``w`` on ``n`` vertices in both directions,
+    as ``_rounds`` takes them: ends, far ends, weight classes, a uint64 table
+    indexed by cell, and each edge's odd table entry for its weight class."""
+    kind = np.unique(w, return_inverse=True)[1]
+    ends, far, kind = np.concatenate((u, v)), np.concatenate((v, u)), np.concatenate((kind, kind))
+    table = _signature_table(n + len(w))
+    return ends, far, kind, table, table[n + kind] | np.uint64(1)
+
+
+def _rounds(ends, far, table, factors, cells) -> tuple[np.ndarray, int]:
+    """Colour refinement of ``cells``, numbered 0..k-1, over the directed edges
+    ``ends`` -> ``far``, one vectorized round at a time; returns each vertex's
+    cell and the cell count.
+
+    A vertex's signature sums, in uint64 arithmetic, the ``table`` entry of
+    each neighbour's cell times the edge's odd weight ``factors`` entry. Each
+    round ranks the vertices by their cell and then their signature, and the
+    rounds stop once the cell count stops changing. Equal neighbourhoods
+    always give equal sums, so the cells are isomorphism-invariant; only a
+    hash collision can leave a cell coarser than the equitable one.
+    """
+    count = 0
+    while cells.max() + 1 != count:
+        count = cells.max() + 1
+        sums = np.zeros(len(cells), np.uint64)
+        np.add.at(sums, ends, table[cells[far]] * factors)
+        order = np.lexsort((sums, cells))
+        ranked, sums = cells[order], sums[order]
+        split = (ranked[1:] != ranked[:-1]) | (sums[1:] != sums[:-1])
+        cells = np.empty(len(cells), np.intp)
+        cells[order] = np.concatenate(([0], np.cumsum(split)))
+    return cells, int(count)
 
 
 def _equitable(g: Graph, colours) -> np.ndarray:
@@ -373,30 +387,12 @@ def _equitable(g: Graph, colours) -> np.ndarray:
     many neighbours in each cell across edges of each weight (Godsil,
     *Algebraic Combinatorics*, 1993, ch. 5).
 
-    Colour refinement, one vectorized round at a time. A vertex's signature
-    sums, in uint64 arithmetic, a table entry for each neighbour's cell times
-    an odd table entry for the edge's weight. Each round ranks the vertices
-    by their cell and then their signature, and the rounds stop once the
-    cell count stops changing. Equal neighbourhoods always give equal sums,
-    so only a hash collision can leave a cell unsplit. A final exact check of
-    the neighbour counts catches that, and the partition then falls back to
-    one cell per vertex.
+    The cells are those of ``_rounds``. A final exact check of the neighbour
+    counts catches a cell that a hash collision left unsplit, and the
+    partition then falls back to one cell per vertex.
     """
-    u, v, w = _edge_arrays(g)
-    kind = np.unique(w, return_inverse=True)[1]
-    ends, far, kind = np.concatenate((u, v)), np.concatenate((v, u)), np.tile(kind, 2)
-    table = _signature_table(g.n + len(w))
-    factors = table[g.n + kind] | np.uint64(1)
-    cells, count = np.unique(colours, return_inverse=True)[1], 0
-    while cells.max() + 1 != count:
-        count = cells.max() + 1
-        sums = np.zeros(g.n, np.uint64)
-        np.add.at(sums, ends, table[cells[far]] * factors)
-        order = np.lexsort((sums, cells))
-        ranked, sums = cells[order], sums[order]
-        split = (ranked[1:] != ranked[:-1]) | (sums[1:] != sums[:-1])
-        cells = np.empty(g.n, np.intp)
-        cells[order] = np.concatenate(([0], np.cumsum(split)))
+    ends, far, kind, table, factors = _directed(g.n, *_edge_arrays(g))
+    cells = _rounds(ends, far, table, factors, np.unique(colours, return_inverse=True)[1])[0]
     _, first, cells = np.unique(cells, return_index=True, return_inverse=True)
     cells = np.argsort(np.argsort(first))[cells]
     return cells if _is_equitable(cells, ends, far, kind) else np.arange(g.n)
@@ -418,60 +414,63 @@ def _is_equitable(cells, ends, far, kind) -> bool:
     return np.array_equal(near, near[mirror]) and np.array_equal(kind, kind[mirror])
 
 
-def _individualized(c1: list[int], c2: list[int], colour: int, fresh: int):
-    """The branches of one search node: g1's colouring ``c1`` against ``c2``
-    with each vertex of g2's class ``colour`` in turn given colour ``fresh``."""
-    for w, c in enumerate(c2):
-        if c == colour:
-            yield c1, c2[:w] + [fresh] + c2[w + 1:]
+def _individualized(cells: np.ndarray, candidates: np.ndarray, fresh: int):
+    """The branches of one search node: ``cells`` with each vertex of
+    ``candidates`` in turn given colour ``fresh``."""
+    for w in candidates:
+        branch = cells.copy()
+        branch[w] = fresh
+        yield branch
 
 
 def brute_force_isomorphic(g1: Graph, g2: Graph) -> bool:
     """Exact weighted-graph isomorphism test, for any n.
 
-    Both graphs are refined jointly by colour (``_refine``); differing
-    colour histograms prove them non-isomorphic. While a colour class still
-    holds several vertices, one vertex of the smallest such class in g1 is
-    given a fresh colour, tried against each vertex of that class in g2,
-    and both colourings are refined again (individualization-refinement,
-    McKay & Piperno, "Practical graph isomorphism II", J. Symb. Comput. 60,
-    2014). A discrete colouring defines one bijection, accepted only if it
-    maps g1's weighted edge set exactly onto g2's. Refinement keeps every
-    isomorphism that respects the colours it starts from, and some branch
-    maps the individualized vertex where an isomorphism does, so the search
-    finds one whenever one exists.
+    Colour refinement (``_rounds``) runs on the disjoint union of g1 and g2,
+    g2's vertices numbered after g1's, so one cell numbering serves both
+    graphs. A cell holding unequally many vertices of g1 and of g2 proves that
+    no isomorphism respects the colours. While a cell still holds several
+    vertices, one g1 vertex of the smallest such cell is given a fresh colour,
+    tried against each g2 vertex of that cell, and the union is refined again
+    (individualization-refinement, McKay & Piperno, "Practical graph
+    isomorphism II", J. Symb. Comput. 60, 2014). A discrete partition pairs
+    each g1 vertex with one g2 vertex, and that bijection is accepted only if
+    it maps g1's weighted edge set exactly onto g2's. Refinement keeps every
+    isomorphism that respects the colours it starts from, and some branch maps
+    the individualized vertex where an isomorphism does, so the search finds
+    one whenever one exists. A hash collision only leaves cells coarser and
+    the search longer, so there is no fallback to one cell per vertex here.
 
     The name is kept from the n! permutation scan this replaced, because
     ``qwalk reproduce 3C`` and the benchmark's ``gi`` workload call it by it.
     """
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
         return False
-    nbrs1, nbrs2 = _neighbours(g1), _neighbours(g2)
+    n = g1.n
+    union = (np.concatenate((a, b + shift))
+             for a, b, shift in zip(_edge_arrays(g1), _edge_arrays(g2), (n, n, 0)))
+    ends, far, _, table, factors = _directed(2 * n, *union)
     target = g2.edge_set()
     # depth-first over lazy branch iterators, so deep searches need no recursion
-    branches = [iter([([0] * g1.n, [0] * g2.n)])]
+    branches = [iter([np.zeros(2 * n, np.intp)])]
     while branches:
-        node = next(branches[-1], None)
-        if node is None:
+        colours = next(branches[-1], None)
+        if colours is None:
             branches.pop()
             continue
-        refined = _refine(nbrs1, nbrs2, *node)
-        if refined is None:
+        cells, count = _rounds(ends, far, table, factors, colours)
+        sizes = np.bincount(cells[:n], minlength=count)
+        if not np.array_equal(sizes, np.bincount(cells[n:], minlength=count)):
             continue
-        c1, c2 = refined
-        sizes = Counter(c1)
-        cells = [(size, colour) for colour, size in sizes.items() if size > 1]
-        if not cells:
-            image = {colour: v for v, colour in enumerate(c2)}
-            perm = [image[colour] for colour in c1]
-            mapped = frozenset(
-                (min(perm[u], perm[v]), max(perm[u], perm[v]), w) for u, v, w in g1.edges
-            )
+        if count == n:  # discrete: each cell holds one vertex of g1 and one of g2
+            perm = np.argsort(cells[n:])[cells[:n]].tolist()
+            mapped = frozenset((min(perm[u], perm[v]), max(perm[u], perm[v]), w)
+                               for u, v, w in g1.edges)
             if mapped == target:
                 return True
             continue
-        _, colour = min(cells)
-        fresh = len(sizes)  # _refine numbers the colours 0..fresh-1, in new lists
-        c1[c1.index(colour)] = fresh
-        branches.append(_individualized(c1, c2, colour, fresh))
+        multi = np.flatnonzero(sizes > 1)
+        members = np.flatnonzero(cells == multi[np.argmin(sizes[multi])])
+        cells[members[0]] = count  # the cell's first g1 vertex
+        branches.append(_individualized(cells, members[members >= n], count))
     return False

@@ -308,6 +308,12 @@ def test_brute_force_beyond_former_size_cap():
     for g in (generate_hypercube(6), generate_glued_tree(7)):
         assert brute_force_isomorphic(g, permute_graph(g, rng.permutation(g.n)))
         assert not brute_force_isomorphic(g, _reweighted(g, seed=g.n))
+    # a search chain about n levels deep: each level individualizes one leaf
+    star = generate_star(1500)
+    assert brute_force_isomorphic(star, permute_graph(star, rng.permutation(star.n)))
+    # leaf 1499 hangs from leaf 1 instead of the centre
+    moved = Graph.from_edges(star.n, star.edges[:-1] + ((1, 1499, 1.0),))
+    assert not brute_force_isomorphic(star, moved)
 
 
 def _permutation_scan(g1: Graph, g2: Graph) -> bool:
@@ -345,7 +351,13 @@ def _weighted_graph(draw, n):
 def test_oracle_matches_permutation_scan(data, n, mode, seed):
     g1 = data.draw(_weighted_graph(n))
     g2 = _partner(g1, mode, lambda: data.draw(_weighted_graph(n)), seed)
-    assert brute_force_isomorphic(g1, g2) == _permutation_scan(g1, g2)
+    expected = _permutation_scan(g1, g2)
+    assert brute_force_isomorphic(g1, g2) == expected
+    # an all-zero signature table splits no cell, so only the search decides;
+    # falling back to one cell per vertex, as _equitable does, would fail here
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_signature_table", lambda size: np.zeros(size, np.uint64))
+        assert brute_force_isomorphic(g1, g2) == expected
 
 
 @settings(max_examples=60, deadline=None)
