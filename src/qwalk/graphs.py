@@ -338,11 +338,22 @@ def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # cells deterministic; neither ``_equitable`` (by its exact check) nor the
 # oracle (by its search) is wrong whatever the draw.
 _SIGNATURE_SEED = 20220829
+# The draws ``_signature_table`` hands out; empty until a call needs them.
+_signature_draws = np.empty(0, np.uint64)
 
 
 def _signature_table(size: int) -> np.ndarray:
-    """``size`` uint64 draws from _SIGNATURE_SEED."""
-    return np.random.default_rng(_SIGNATURE_SEED).integers(0, 2**64, size, dtype=np.uint64)
+    """The first ``size`` uint64 draws from _SIGNATURE_SEED, as a read-only
+    view of one module-level table. The table is drawn on first use and
+    redrawn from the seed, at least twice as long, when a call needs more;
+    the generator's raw output equals its full-range uint64 integers, so
+    every table is a prefix of the next."""
+    global _signature_draws
+    if size > len(_signature_draws):
+        bits = np.random.default_rng(_SIGNATURE_SEED).bit_generator
+        _signature_draws = bits.random_raw(max(size, 2 * len(_signature_draws)))
+        _signature_draws.flags.writeable = False
+    return _signature_draws[:size]
 
 
 def _directed(n: int, u, v, w):

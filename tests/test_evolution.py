@@ -19,11 +19,14 @@ from qwalk import (
     generate_complete,
     generate_cycle,
     generate_erdos_renyi,
+    generate_glued_tree,
     generate_hypercube,
     generate_path,
     generate_star,
     limiting_distribution,
     measure,
+    permute_graph,
+    spatial_search,
     time_average_distribution,
     tv_distance,
 )
@@ -516,6 +519,134 @@ def test_real_matrix_factorized_in_real_arithmetic():
     assert hc.entries.dtype == np.complex128
     wc, vc = hc.spectral_decompose()
     assert vc.dtype == np.complex128 and wc.dtype == np.float64
+
+
+# -- the bipartite route ------------------------------------------------
+
+
+@st.composite
+def _bipartite_matrices(draw):
+    """A relabelled weighted bipartite matrix [[0, B], [B^H, 0]] and its block B."""
+    kind = draw(st.sampled_from(
+        ["random", "star", "isolated", "components", "rank-deficient", "edgeless"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    complex_block = draw(st.booleans())
+    p, q = (1 if kind == "star" else draw(st.integers(1, 12))), draw(st.integers(1, 12))
+
+    def block(rows, cols, density=1.0):
+        b = rng.normal(size=(rows, cols)) + (1j * rng.normal(size=(rows, cols)) if complex_block else 0)
+        return b * (rng.random((rows, cols)) < density)
+
+    if kind == "components":
+        b = np.zeros((p + 1, q + 2), dtype=complex if complex_block else float)
+        b[:p // 2 + 1, :q // 2 + 1] = block(p // 2 + 1, q // 2 + 1)
+        b[p // 2 + 1:, q // 2 + 1:] = block(p - p // 2, q - q // 2 + 1)
+    elif kind == "rank-deficient":
+        b = block(p, 1) @ block(1, q) + (block(p, 1) @ block(1, q) if min(p, q) > 2 else 0)
+    elif kind == "edgeless":
+        b = np.zeros((p, q))
+    else:
+        b = block(p, q, draw(st.floats(0.2, 1.0)))
+        if kind == "isolated":
+            b[rng.random(p) < 0.3] = 0
+            b[:, rng.random(q) < 0.3] = 0
+    rows, cols = b.shape
+    m = np.zeros((rows + cols, rows + cols), dtype=b.dtype)
+    m[:rows, rows:] = b
+    m[rows:, :rows] = b.conj().T
+    perm = rng.permutation(len(m))
+    return m[np.ix_(perm, perm)], b
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_bipartite_matrices(), seed=st.integers(0, 10**6))
+def test_bipartite_route_matches_eigh(case, seed):
+    m, b = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "_BIPARTITE_FLOOR", 1)
+        assert (evolution._bipartition(m) is None) == (not b.any())
+        h = HermitianOperator(m)
+        w, v = h.spectral_decompose()
+    w_ref, v_ref = np.linalg.eigh(h.entries)
+    assert v.dtype == h.entries.dtype
+    assert np.abs(w - w_ref).max() <= 1e-10
+    assert np.abs(v.conj().T @ v - np.eye(len(m))).max() <= 1e-10
+    # eigenvalue clusters at least 1e-3 apart have equal projectors
+    scale = max(1.0, np.abs(w_ref).max())
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(w_ref) > 1e-3 * scale)))
+    for lo, hi in zip(starts, np.append(starts[1:], len(m))):
+        projector = v[:, lo:hi] @ v[:, lo:hi].conj().T
+        assert np.abs(projector - v_ref[:, lo:hi] @ v_ref[:, lo:hi].conj().T).max() <= 1e-10
+    psi0 = _random_state(len(m), seed)
+    times = np.array([0.0, 0.7, 3.1])
+    expected = v_ref @ (np.exp(-1j * w_ref[:, None] * times) * (v_ref.conj().T @ psi0)[:, None])
+    assert np.abs(h.evolve_many(psi0, times) - expected).max() <= 1e-10
+
+
+def test_bipartition_rejects_what_is_not_bipartite(monkeypatch):
+    odd = generate_cycle(101).adjacency()
+    assert evolution._bipartition(odd) is None
+    even = generate_cycle(100).adjacency()
+    sides = evolution._bipartition(even)
+    assert sorted(side.tolist() for side in sides) == [list(range(0, 100, 2)), list(range(1, 100, 2))]
+    even[7, 7] = 0.5
+    assert evolution._bipartition(even) is None
+    # the search Hamiltonian on the 105-state boson pair of cycle(14) carries its oracle
+    # on the diagonal, so every factorization of a search keeps eigh
+    _, ext = extended_graph(generate_cycle(14), BOSON)
+    seen = []
+    bipartition = evolution._bipartition
+    monkeypatch.setattr(evolution, "_bipartition", lambda m: seen.append(bipartition(m)) or seen[-1])
+    spatial_search(ext, [3, 50, 90], gamma_strategy=0.3)
+    assert ext.n >= evolution._BIPARTITE_FLOOR and seen == [None]
+
+
+def test_below_the_floor_eigh_is_kept_bit_for_bit():
+    rng = np.random.default_rng(11)
+    m = np.zeros((60, 60))
+    m[:30, 30:] = rng.normal(size=(30, 30))
+    m[30:, :30] = m[:30, 30:].T
+    assert len(m) < evolution._BIPARTITE_FLOOR and evolution._bipartition(m) is not None
+    w, v = HermitianOperator(m).spectral_decompose()
+    w_ref, v_ref = np.linalg.eigh(m)
+    assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+
+def _relabelled_fold(base, seed, horizon):
+    """Folded terms and ``_lump`` classes of the mixing readout (dt 0.05) of
+    the boson pair on ``base`` relabelled by a permutation drawn from
+    ``seed``, from its corner (0, 0)."""
+    perm = np.random.default_rng(seed).permutation(base.n)
+    basis, ext = extended_graph(permute_graph(base, perm), BOSON)
+    h = HermitianOperator.from_graph(ext)
+    psi0 = basis_state(ext.n, basis.index(int(perm[0]), int(perm[0])))
+    times = np.arange(0.05, horizon + 0.025, 0.05)
+    w, rows, coeffs = h._folded(psi0, times)
+    reps = evolution._lump(rows, coeffs, limiting_distribution(h, psi0), times.size)[0]
+    return len(w), len(reps)
+
+
+@pytest.mark.parametrize("floor", [1, 10**9], ids=["svd", "eigh"])
+@pytest.mark.parametrize("base, horizon, terms, classes", [
+    (generate_cycle(40), 200.0, 221, 250), (generate_glued_tree(5), 200.0, 45, 25),
+    (generate_hypercube(4), 2000.0, 9, 12)], ids=["cycle40", "glued5", "Q4"])
+def test_fold_holds_on_every_labelling(monkeypatch, floor, base, horizon, terms, classes):
+    # rounding spreads degenerate clusters by up to 15 eps max|w| depending on the
+    # labelling; unsnapped, the fold left them split (45-50 terms on the glued tree,
+    # 125-133 of 9 on Q_4 at horizon 2000)
+    monkeypatch.setattr(evolution, "_BIPARTITE_FLOOR", floor)
+    for seed in range(1, 7):
+        assert _relabelled_fold(base, seed, horizon) == (terms, classes), seed
+
+
+def test_snap_merges_clusters_within_64_eps():
+    eps = np.finfo(float).eps
+    w = np.array([-2.0, -1.0, -1.0 + 30 * eps, 0.5, 0.5 + 200 * eps, 2.0 - 10 * eps, 2.0])
+    snapped = evolution._snap(w)
+    assert snapped[1] == snapped[2] == (w[1] + w[2]) / 2
+    assert snapped[3] != snapped[4] and snapped[5] == snapped[6]
+    assert snapped[0] == -2.0 and np.all(np.diff(snapped) >= 0)
+    assert np.array_equal(evolution._snap(w[[0, 1, 3, 6]]), w[[0, 1, 3, 6]])
 
 
 # -- classes of states with equal rows -----------------------------------

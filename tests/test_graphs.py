@@ -435,3 +435,14 @@ def test_equitable_falls_back_to_one_cell_per_vertex_when_signatures_collide(mon
     assert np.array_equal(graphs._equitable(generate_cycle(6), np.zeros(6)), np.zeros(6))
     # on a path the ends have one neighbour and the rest two: the check fails
     assert np.array_equal(graphs._equitable(generate_path(5), np.zeros(5)), np.arange(5))
+
+
+def test_signature_table_is_the_seeded_draw_across_regrowths(monkeypatch):
+    monkeypatch.setattr(graphs, "_signature_draws", np.empty(0, np.uint64))
+    for size in (5, 3, 0, 40, 41, 1000, 7, 2500):
+        expected = np.random.default_rng(graphs._SIGNATURE_SEED).integers(
+            0, 2**64, size, dtype=np.uint64)
+        table = graphs._signature_table(size)
+        assert table.dtype == np.uint64 and np.array_equal(table, expected), size
+        assert not table.flags.writeable
+    assert len(graphs._signature_draws) >= 2500
