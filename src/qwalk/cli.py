@@ -50,7 +50,7 @@ from .graphs import (
 from .particles import (
     BOSON,
     ParticleKind,
-    _pair_operator,
+    build_extended_hamiltonian,
     extended_graph,
     two_particle_correlation,
 )
@@ -163,7 +163,7 @@ def _dyn_setup(family: str, size: int | None):
     size = default_size if size is None else size
     base = GENERATORS[base_family](size)
     basis, ext = extended_graph(base, BOSON)
-    operator = functools.partial(_pair_operator, base, basis, ext)
+    operator = lambda: build_extended_hamiltonian(base, BOSON)[1]
     return size, ext, operator, basis.index(0, 0), basis.index(base.n - 1, base.n - 1)
 
 

@@ -108,7 +108,9 @@ class HermitianOperator:
     (``_bipartition``) is factorized from the SVD of its block between the
     two sides (``_bipartite_eigh``); any other goes to ``eigh``. Either way
     eigenvalue clusters within 64 eps max|w| are snapped to their mean
-    (``_snap``) before the reconstruction check.
+    (``_snap``) before the reconstruction check. An operator may also be
+    held only as its factorization, with ``entries`` None, as the pair
+    operators of ``build_extended_hamiltonian`` are.
     """
 
     def __init__(self, entries):
@@ -124,12 +126,19 @@ class HermitianOperator:
             raise ValueError("matrix is not Hermitian")
         self.entries = M
         self.dim = M.shape[0]
-        self._eigenvalues = None
-        self._eigenvectors = None
+        self._eigenvalues = self._eigenvectors = None
 
     @classmethod
     def from_graph(cls, g: Graph) -> "HermitianOperator":
         return cls(g.adjacency())
+
+    @classmethod
+    def _factorized(cls, w, v) -> "HermitianOperator":
+        """The operator held only as ascending eigenvalues ``w`` and eigenvectors ``v``."""
+        h = cls.__new__(cls)
+        h.entries, h.dim = None, len(w)
+        h._set_spectrum(w, v)
+        return h
 
     def spectral_decompose(self):
         """Ascending eigenvalues and orthonormal eigenvector columns (cached)."""
@@ -144,15 +153,15 @@ class HermitianOperator:
     def _set_spectrum(self, w, v) -> None:
         """Cache ascending eigenvalues ``w``, each cluster snapped to its mean
         (``_snap``), and eigenvector columns ``v`` once they reconstruct the
-        matrix."""
+        matrix; an operator held only as its factorization has none to check."""
         w = _snap(w)
-        recon = (v * w) @ v.conj().T
-        recon -= self.entries
-        error = np.abs(recon, out=recon).max() if recon.dtype.kind == "f" else np.abs(recon).max()
-        if error > 1e-8 * max(self.dim, 1):
-            raise ArithmeticError("spectral decomposition failed to reconstruct")
-        self._eigenvalues = w
-        self._eigenvectors = v
+        if self.entries is not None:
+            recon = (v * w) @ v.conj().T
+            recon -= self.entries
+            error = np.abs(recon, out=recon).max() if recon.dtype.kind == "f" else np.abs(recon).max()
+            if error > 1e-8 * max(self.dim, 1):
+                raise ArithmeticError("spectral decomposition failed to reconstruct")
+        self._eigenvalues, self._eigenvectors = w, v
 
     def propagator(self, t: float) -> np.ndarray:
         """Unitary exp(-i H t)."""

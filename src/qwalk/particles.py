@@ -5,12 +5,11 @@ walk on an extended graph whose size depends on the exchange symmetry:
 n^2 states for distinguishable particles, C(n+1, 2) for bosons and
 C(n, 2) for fermions. The extended operator of non-interacting particles
 takes its spectrum from the base graph's: eigenvalues w_a + w_b and
-eigenvectors from the pair rule. The quantum hitting and mixing readouts
-(``_dyn_setup`` in the CLI) and ``qw_centrality`` still build that extended
-matrix and check the pair rule against it. Graph certificates never build
-it: ``_pair_evolve`` evolves the pair as an n x n mode matrix,
-Psi(t) = U(t) Psi0 U(t)^T, from the one n x n factorization of the base
-graph. ``two_particle_correlation`` computes output correlations directly
+eigenvectors from the pair rule, and ``build_extended_hamiltonian`` holds
+the operator as that factorization alone. Graph certificates evolve the
+pair as an n x n mode matrix instead (``_pair_evolve``),
+Psi(t) = U(t) Psi0 U(t)^T, from the same one n x n factorization of the
+base graph. ``two_particle_correlation`` computes output correlations directly
 from the single-particle unitary (permanent / determinant forms) and serves
 as the independent oracle for the extended-walk route. The dense
 factorization of the extended matrix survives only in
@@ -179,39 +178,31 @@ def extended_graph(g: Graph, kind: ParticleKind) -> tuple[ExtendedBasis, Graph]:
 
 
 def build_extended_hamiltonian(g: Graph, kind: ParticleKind) -> tuple[ExtendedBasis, HermitianOperator]:
-    """Adjacency of the extended graph: S (A(x)I + I(x)A) S^dag.
-
-    Real symmetric; for an unweighted base graph the bosonic off-diagonal
-    entries are 0, 1 or sqrt(2). Its spectrum comes from one eigh of the
-    base graph, not of the extended matrix.
-    """
-    basis, ext = extended_graph(g, kind)
-    return basis, _pair_operator(g, basis, ext)
-
-
-def _pair_operator(g: Graph, basis: ExtendedBasis, ext: Graph) -> HermitianOperator:
-    """The extended graph ``ext`` of ``g`` as an operator factorized from g.
+    """The extended graph S (A(x)I + I(x)A) S^dag as an operator held only as
+    its factorization, from one checked eigendecomposition of ``g``.
 
     With base eigenpairs (w, V), each basis pair (a, b) gives the eigenvalue
     w_a + w_b and the eigenvector whose state (i, j) entry is the pair rule
     V_ia V_jb + xi V_ib V_ja, over sqrt(2) for each doubly occupied mode of
-    a boson pair. The factorization must reconstruct the extended adjacency.
+    a boson pair. The extended matrix is never built (``extended_graph``
+    builds its graph).
     """
-    entries = ext.adjacency()  # refuses an oversized extension before the dim^2 arrays
+    if kind.tag == "phased":
+        raise ValueError(_PHASED_HAS_NO_GRAPH)
+    basis = ExtendedBasis(g.n, kind)
+    _check_dense_size(len(basis))  # the dim^2 eigenvectors, before the base eigh
     w, v = HermitianOperator.from_graph(g).spectral_decompose()
     first, second = basis._modes
     order = np.argsort(w[first] + w[second], kind="stable")
     a, b = first[order], second[order]  # eigenvector pairs, ascending in w_a + w_b
-    xi = {"distinguishable": 0.0, "boson": 1.0, "fermion": -1.0}[basis.kind.tag]
+    xi = {"distinguishable": 0.0, "boson": 1.0, "fermion": -1.0}[kind.tag]
     vi, vj = v[first], v[second]  # one row per state (i, j)
     vecs = vi[:, a] * vj[:, b]
     vecs += xi * (vi[:, b] * vj[:, a])
-    if basis.kind.tag == "boson":
+    if kind.tag == "boson":
         vecs[first == second] /= math.sqrt(2)  # doubly occupied states
         vecs[:, a == b] /= math.sqrt(2)  # doubly occupied pairs
-    h = HermitianOperator(entries)
-    h._set_spectrum(w[a] + w[b], vecs)
-    return h
+    return basis, HermitianOperator._factorized(w[a] + w[b], vecs)
 
 
 def _pair_evolve(g: Graph, basis: ExtendedBasis, psi0, times: np.ndarray) -> np.ndarray:
@@ -296,8 +287,6 @@ def correlation_via_extended_walk(g: Graph, kind: ParticleKind, inputs: tuple[in
     Must match ``two_particle_correlation(exp(-iAt), inputs, kind)``
     elementwise.
     """
-    if kind.tag == "phased":
-        raise ValueError("phased exchange is only available via correlations")
     basis, ext = extended_graph(g, kind)
     h_ext = HermitianOperator.from_graph(ext)  # the dense eigh of the extended matrix
     start = basis.index(*inputs)

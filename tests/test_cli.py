@@ -9,12 +9,19 @@ from click.testing import CliRunner
 
 from qwalk import (
     BOSON,
+    Graph,
+    HermitianOperator,
+    basis_state,
     correlation_via_extended_walk,
     generate_cycle,
     generate_path,
     generate_star,
     permute_graph,
+    quantum_hitting,
+    quantum_mixing_time,
+    qw_centrality,
 )
+from qwalk import cli
 from qwalk.cli import main
 
 
@@ -340,3 +347,53 @@ def test_oversized_time_grid_exit_2(runner, tmp_path, args, message):
     assert result.exit_code == 2, result.output
     assert "over the limit of 2**26" in result.output and message in result.output
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("family, size", [("ergt", 3), ("ergt", 5), ("ecube", 3), ("ecube", 4),
+                                          ("enet", 8), ("enet", 20), ("egrid", 8), ("egrid", 19)])
+def test_pair_route_matches_the_dense_extended_operator(family, size):
+    # the hitting and mixing commands' quantum walker, factorized from the
+    # base graph, against the dense eigh of the extended graph it walks on
+    setup = cli._dyn_setup(family, size)
+    _, ext, _, start, target = setup
+    dense = HermitianOperator.from_graph(ext)
+    hit, grid = cli._hitting(setup, "quantum")
+    ref = quantum_hitting(dense, start, target, **grid)
+    assert np.array_equal(hit.times, ref.times)
+    assert np.abs(hit.profile - ref.profile).max() <= 1e-12
+    assert abs(hit.efficiency - ref.efficiency) <= 1e-12
+    assert abs(hit.t_opt - ref.t_opt) <= 1e-9 * ref.t_opt
+    mix, horizon = cli._mixing(setup, "quantum", 0.25, 0.05)
+    ref = quantum_mixing_time(dense, basis_state(ext.n, start), 0.25, horizon, 0.05)
+    assert np.array_equal(mix.times, ref.times)
+    assert np.abs(mix.trace - ref.trace).max() <= 1e-12
+    assert mix.t_mix == ref.t_mix
+
+
+@pytest.mark.parametrize("family", cli.DYN_FAMILIES)
+def test_pair_route_factors_only_the_base_graph(family, monkeypatch, eigh_calls):
+    # quantum hitting, mixing and centrality on the boson pair build no dense
+    # matrix larger than the base and check no factorization larger than it
+    base_family, size = cli.DYN_FAMILIES[family]
+    n = cli.GENERATORS[base_family](size).n
+    dense, checked = [], []
+    adjacency, set_spectrum = Graph.adjacency, HermitianOperator._set_spectrum
+
+    def recording_adjacency(g):
+        dense.append(g.n)
+        return adjacency(g)
+
+    def recording_set_spectrum(h, w, v):
+        if h.entries is not None:
+            checked.append(h.dim)
+        set_spectrum(h, w, v)
+
+    monkeypatch.setattr(Graph, "adjacency", recording_adjacency)
+    monkeypatch.setattr(HermitianOperator, "_set_spectrum", recording_set_spectrum)
+    setup = cli._dyn_setup(family, None)
+    cli._hitting(setup, "quantum")
+    cli._mixing(setup, "quantum", 0.25, 0.05)
+    qw_centrality(cli.GENERATORS[base_family](size))
+    assert dense and max(dense) == n
+    assert checked == [n] * 3
+    assert eigh_calls == [(n, n)] * 3
