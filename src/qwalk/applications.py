@@ -9,6 +9,7 @@ import numpy as np
 
 from .dynamics import _refined_peak
 from .evolution import (
+    _BLOCK_VALUES,
     HermitianOperator,
     _as_times,
     _check_series_size,
@@ -18,7 +19,7 @@ from .evolution import (
     uniform_state,
 )
 from .graphs import Graph
-from .particles import BOSON, ExtendedBasis, ParticleKind, _pair_evolve, build_extended_hamiltonian
+from .particles import BOSON, ExtendedBasis, ParticleKind, _pair_walk, build_extended_hamiltonian
 
 __all__ = [
     "CentralityReport",
@@ -268,14 +269,16 @@ class GraphCertificate:
 
 
 def graph_certificate(g: Graph, kind: ParticleKind = BOSON, times=None) -> GraphCertificate:
-    """Relabeling-invariant certificate: sorted walk distributions over time.
+    """Certificate of sorted pair-walk distributions over time.
 
-    The pair walk (boson by default; distinguishable and fermion pairs too)
-    starts in the uniform superposition over extended basis states; sorting
-    the measured probabilities removes all vertex labeling information, so
-    isomorphic graphs produce identical certificates. The pair is evolved as
-    an n x n mode matrix from one eigh of ``g`` (``particles._pair_evolve``),
-    so the extended graph is never built. Phased pairs, a base of fewer than
+    The pair walk (boson by default; any kind, phased included) starts in
+    the uniform superposition over extended basis states, and sorting each
+    time's probabilities removes the vertex labels. Boson and distinguishable
+    starts are relabeling-invariant, so isomorphic graphs give identical
+    certificates; fermion and phased starts put the exchange phase on the
+    later vertex of each pair, so theirs can differ. The pair evolves as an
+    n x n mode matrix (``particles._pair_walk``) from one eigh of ``g``, in
+    blocks of about _BLOCK_VALUES mode-matrix entries. A base of fewer than
     2 vertices, non-finite or descending times and a grid of more than 2**26
     state-time values are refused before the eigh.
     """
@@ -285,9 +288,13 @@ def graph_certificate(g: Graph, kind: ParticleKind = BOSON, times=None) -> Graph
     if len(times) == 0 or np.any(np.diff(times) < 0):
         raise ValueError("times must be nonempty and ascending")
     basis = ExtendedBasis(g.n, kind)
-    probs = np.abs(_pair_evolve(g, basis, uniform_state(len(basis)), times)) ** 2
-    profiles = np.sort(probs, axis=0)[::-1].T  # descending per time point
-    return GraphCertificate(times=times, sorted_profiles=profiles)
+    _check_series_size(len(basis), len(times))
+    w, v = HermitianOperator.from_graph(g).spectral_decompose()
+    step = max(1, _BLOCK_VALUES // g.n**2)
+    lefts = (v * np.exp(-1j * np.multiply.outer(times[lo:lo + step], w))[:, None, :]
+             for lo in range(0, len(times), step))
+    profiles = np.sort(_pair_walk(basis, basis._modes, uniform_state(len(basis)), lefts, v))
+    return GraphCertificate(times=times, sorted_profiles=profiles[:, ::-1])  # descending
 
 
 def gi_test(g1: Graph, g2: Graph, times=None, threshold: float = 0.05,

@@ -469,16 +469,16 @@ def _check_series_size(dim: int, points: float) -> None:
 def as_state(amplitudes) -> np.ndarray:
     psi = np.asarray(amplitudes, dtype=complex).ravel()
     norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:  # a NaN norm fails too
         raise ValueError(f"state norm {norm} is not 1")
     return psi
 
 
 def as_distribution(probs, tol: float = 1e-9) -> np.ndarray:
-    """Validate, clamp tiny negative roundoff, and renormalize."""
+    """Validate (NaN fails), clamp tiny negative roundoff, and renormalize."""
     p = np.asarray(probs, dtype=float).ravel()
-    if p.min() < -1e-12:
-        raise ValueError(f"negative probability {p.min()}")
+    if not p.min() >= -1e-12:
+        raise ValueError(f"negative or NaN probability {p.min()}")
     s = p.sum()
     if abs(s - 1.0) > tol:
         raise ValueError(f"probabilities sum to {s}, not 1")

@@ -6,15 +6,13 @@ n^2 states for distinguishable particles, C(n+1, 2) for bosons and
 C(n, 2) for fermions. The extended operator of non-interacting particles
 takes its spectrum from the base graph's: eigenvalues w_a + w_b and
 eigenvectors from the pair rule, and ``build_extended_hamiltonian`` holds
-the operator as that factorization alone. Graph certificates evolve the
-pair as an n x n mode matrix instead (``_pair_evolve``),
-Psi(t) = U(t) Psi0 U(t)^T, from the same one n x n factorization of the
-base graph. ``two_particle_correlation`` computes output correlations directly
-from the single-particle unitary (permanent / determinant forms) and serves
-as the independent oracle for the extended-walk route. The dense
-factorization of the extended matrix survives only in
-``correlation_via_extended_walk``, which only the tests and the benchmark
-call.
+the operator as that factorization alone. Pair probabilities of all four
+kinds, phased pairs included, come from one walk of the n x n mode matrix,
+Psi = U Psi0 U^T (``_pair_walk``), which needs no extended graph:
+``two_particle_correlation`` runs it on a given unitary, graph certificates
+on the one n x n factorization of the base graph. The dense factorization
+of the extended matrix survives only in ``correlation_via_extended_walk``,
+the cross-check route that only the tests and the benchmark call.
 """
 
 from __future__ import annotations
@@ -25,9 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import (
-    _BLOCK_VALUES,
     HermitianOperator,
-    _check_series_size,
     as_distribution,
     basis_state,
     evolve_quantum,
@@ -75,10 +71,11 @@ class ParticleKind:
 
     @property
     def exchange_phase(self) -> complex:
+        """xi, the factor a swap of the two modes gives; real for bosons and fermions."""
         if self.tag == "boson":
-            return 1.0 + 0j
+            return 1.0
         if self.tag == "fermion":
-            return -1.0 + 0j
+            return -1.0
         if self.tag == "phased":
             return complex(np.exp(1j * self.phase))
         raise ValueError("distinguishable particles carry no exchange phase")
@@ -195,59 +192,61 @@ def build_extended_hamiltonian(g: Graph, kind: ParticleKind) -> tuple[ExtendedBa
     first, second = basis._modes
     order = np.argsort(w[first] + w[second], kind="stable")
     a, b = first[order], second[order]  # eigenvector pairs, ascending in w_a + w_b
-    xi = {"distinguishable": 0.0, "boson": 1.0, "fermion": -1.0}[kind.tag]
     vi, vj = v[first], v[second]  # one row per state (i, j)
     vecs = vi[:, a] * vj[:, b]
-    vecs += xi * (vi[:, b] * vj[:, a])
+    if kind.tag != "distinguishable":
+        vecs += kind.exchange_phase * (vi[:, b] * vj[:, a])
     if kind.tag == "boson":
         vecs[first == second] /= math.sqrt(2)  # doubly occupied states
         vecs[:, a == b] /= math.sqrt(2)  # doubly occupied pairs
     return basis, HermitianOperator._factorized(w[a] + w[b], vecs)
 
 
-def _pair_evolve(g: Graph, basis: ExtendedBasis, psi0, times: np.ndarray) -> np.ndarray:
-    """Extended-basis amplitudes of the pair walk on ``g`` from ``psi0`` at
-    ``times``, one column per time, from the one n x n eigh of ``g``.
+def _pair_walk(basis: ExtendedBasis, modes, amps, lefts, v=None) -> np.ndarray:
+    """Probabilities over ``basis`` of the pair Psi = L M L^T, one row per L
+    of the (times, n, n) stacks in ``lefts``.
 
-    The pair is the mode matrix Psi: Psi0_ij = a for a distinguishable state
-    (i, j) of amplitude a; for bosons and fermions Psi0_ij = a / sqrt(2) and
-    Psi0_ji = xi a / sqrt(2) (xi = +1 or -1) off the diagonal, and
-    Psi0_ii = a for a doubly occupied boson state. With base eigenpairs
-    (w, V), Psi(t) = U Psi0 U^T = W C W^T, where C = V^T Psi0 V and
-    W = V diag(exp(-i w t)). A state's amplitude is read back as Psi_ij,
-    times sqrt(2) off the diagonal for bosons and fermions, so its
-    probability is |Psi_ii|^2 or 2 |Psi_ij|^2. The grid is refused before the
-    eigh when it holds over 2**26 state-time values. All times are one
-    batched product, split into blocks of about _BLOCK_VALUES mode-matrix
-    entries only past that size, so a grid at the limit does not hold three
-    times x n x n arrays of about 2**27 values each.
+    The mode matrix Psi0 is written from the amplitudes ``amps`` of the mode
+    pairs ``modes`` = (i, j): Psi0_ij = a for distinguishable pairs, and for
+    the other kinds Psi0_ij = a / sqrt(2) and Psi0_ji = xi a / sqrt(2) off
+    the diagonal and Psi0_ii = a on it, with xi the kind's exchange phase.
+    M is Psi0, or V^T Psi0 V when ``v`` is given, so that
+    L = V diag(exp(-i w t)) evolves it by U(t) = V diag(exp(-i w t)) V^T.
+    A state (i, j), i <= j, of an unordered kind folds both orders:
+    |Psi_ij|^2 + |Psi_ji|^2, and |Psi_ii|^2 on the diagonal. Only phased
+    pairs read Psi_ji, since |Psi_ji| = |Psi_ij| when xi = 1 or -1.
     """
-    if basis.kind.tag == "phased":
-        raise ValueError(_PHASED_HAS_NO_GRAPH)
-    _check_series_size(len(basis), len(times))
-    w, v = HermitianOperator.from_graph(g).spectral_decompose()
-    i, j = basis._modes
-    psi = np.zeros((g.n, g.n), dtype=complex)
-    if basis.kind.tag == "distinguishable":
-        scale = 1.0
-    else:
-        scale = np.where(i == j, 1.0, math.sqrt(0.5))
-        psi[j, i] = basis.kind.exchange_phase.real * scale * psi0
-    psi[i, j] = scale * psi0  # a boson's doubly occupied entry is written twice, equally
-    c = v.T @ psi @ v
-    out = np.empty((len(basis), len(times)), dtype=complex)
-    step = max(1, _BLOCK_VALUES // g.n**2)
-    for lo in range(0, len(times), step):
-        wt = v * np.exp(-1j * np.multiply.outer(times[lo:lo + step], w))[:, None, :]
-        out[:, lo:lo + step] = ((wt @ c @ wt.transpose(0, 2, 1))[:, i, j] / scale).T
-    return out
+    n, kind = basis.base_n, basis.kind
+    i, j = modes
+    m = np.zeros((n, n), dtype=complex)
+    if kind.tag != "distinguishable":
+        amps = np.where(i == j, 1.0, math.sqrt(0.5)) * amps
+        m[j, i] = kind.exchange_phase * amps
+    m[i, j] = amps  # on the diagonal this overwrites the exchanged entry
+    if v is not None:
+        m = v.T @ m @ v
+    si, sj = basis._modes
+    phased = kind.tag == "phased"
+    blocks = []
+    for left in lefts:
+        psi = left @ m @ left.transpose(0, 2, 1)
+        p = np.abs(psi[:, si, sj]) ** 2
+        if phased:
+            p += np.abs(psi[:, sj, si]) ** 2
+        blocks.append(p)
+    p = np.concatenate(blocks)
+    if kind.tag == "distinguishable":
+        return p
+    # xi = 1 or -1 reads |Psi_ij|^2 once for both orders; phased pairs read
+    # both, which counts the diagonal twice
+    return p * (np.where(si == sj, 0.5, 1.0) if phased else np.where(si == sj, 1.0, 2.0))
 
 
 def _check_unitary(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("U must be square")
-    if np.abs(u @ u.conj().T - np.eye(u.shape[0])).max() > tol:
+    if not np.abs(u @ u.conj().T - np.eye(u.shape[0])).max() <= tol:  # NaN fails too
         raise ValueError("U is not unitary")
     return u
 
@@ -255,29 +254,23 @@ def _check_unitary(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 def two_particle_correlation(u, inputs: tuple[int, int], kind: ParticleKind) -> tuple[ExtendedBasis, np.ndarray]:
     """Output correlation of a particle pair injected at ``inputs`` through U.
 
-    One rule covers every kind: the amplitude of modes (i, j) is
-    A(i, j) = U_ia U_jb + xi U_ib U_ja with exchange phase xi = 0
-    (distinguishable), 1 (boson), -1 (fermion) or e^{i phi} (phased), and
-    P(i, j) = |A(i, j)|^2 / N^2 with N^2 the input state's squared norm.
-    Unordered kinds fold P(j, i) into the state i < j.
+    The pair walk ``_pair_walk`` with L = U covers every kind: the amplitude
+    of modes (i, j) is A(i, j) = U_ia U_jb + xi U_ib U_ja with exchange phase
+    xi = 0 (distinguishable), 1 (boson), -1 (fermion) or e^{i phi} (phased),
+    over the input state's norm, and unordered kinds fold (j, i) into the
+    state i < j. A doubly occupied input mode is refused where its state
+    vanishes: for fermions, and for phased pairs near the fermionic point.
     """
     u = _check_unitary(u)
     n = u.shape[0]
     a, b = inputs
     if not (0 <= a < n and 0 <= b < n):
         raise ValueError("input modes out of range")
-    xi = 0.0 if kind.tag == "distinguishable" else kind.exchange_phase
-    # the input state's squared norm; for a doubly occupied mode it vanishes
-    # as the phase approaches the fermionic point
-    norm2 = abs(1 + xi) ** 2 if a == b else 1 + abs(xi) ** 2
-    if norm2 < 2e-12:
+    if a == b and kind.tag != "distinguishable" and abs(1 + kind.exchange_phase) ** 2 < 2e-12:
         raise ValueError("no two-particle state with this exchange phase "
                          "occupies a single mode")
-    p = np.abs(np.outer(u[:, a], u[:, b]) + xi * np.outer(u[:, b], u[:, a])) ** 2 / norm2
     basis = ExtendedBasis(n, kind)
-    if kind.tag != "distinguishable":
-        p += np.triu(p.T, 1)
-    return basis, as_distribution(p[basis._modes])
+    return basis, as_distribution(_pair_walk(basis, (a, b), 1.0, [u[None]])[0])
 
 
 def correlation_via_extended_walk(g: Graph, kind: ParticleKind, inputs: tuple[int, int], t: float) -> tuple[ExtendedBasis, np.ndarray]:

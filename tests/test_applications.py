@@ -503,15 +503,6 @@ def test_certificate_times_validation():
         graph_certificate(generate_path(3), times=[0.0, float("nan")])
 
 
-def test_certificate_refuses_a_phased_pair_as_extended_graph_does(eigh_calls):
-    with pytest.raises(ValueError) as phased_graph:
-        extended_graph(generate_path(3), phased(0.4))
-    with pytest.raises(ValueError, match="phased exchange has no real extended graph") as refused:
-        graph_certificate(generate_path(3), phased(0.4))
-    assert str(refused.value) == str(phased_graph.value)
-    assert eigh_calls == []
-
-
 def test_certificate_refuses_a_one_vertex_base_as_extended_basis_does():
     with pytest.raises(ValueError) as basis:
         ExtendedBasis(1, BOSON)
@@ -559,6 +550,19 @@ def test_gi_isomorphic_pair_consistent():
 
 def test_gi_flags_path_vs_star():
     verdict, _ = gi_test(generate_path(4), generate_star(4))
+    assert verdict == "non-isomorphic"
+
+
+def test_gi_phased_pair_walk():
+    # a phased pair has no real extended graph, but its mode-matrix walk
+    # gives certificates like any other kind. Its uniform start puts the
+    # exchange phase on the later mode of each pair, so it depends on the
+    # vertex order, and the verdict, not a roundoff trace, is asserted
+    g = generate_erdos_renyi(10, 0.4, seed=9)
+    perm = list(np.random.default_rng(2).permutation(10))
+    verdict, _ = gi_test(g, permute_graph(g, perm), kind=phased(0.4))
+    assert verdict == "consistent-with-isomorphic"
+    verdict, _ = gi_test(generate_path(4), generate_star(4), kind=phased(0.4))
     assert verdict == "non-isomorphic"
 
 

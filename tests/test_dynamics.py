@@ -113,6 +113,11 @@ def test_nonpositive_time_step_rejected(dt):
         classical_mixing_time(generate_path(2), [1.0, 0.0], 0.25, 10.0, dt)
 
 
+def test_classical_mixing_refuses_a_nan_start():
+    with pytest.raises(ValueError, match="NaN probability"):
+        classical_mixing_time(generate_cycle(4), [math.nan, 1, 0, 0], 0.25, 50, 0.5)
+
+
 def test_hitting_relabeling_invariance():
     g = generate_erdos_renyi(7, 0.5, seed=3)
     h = HermitianOperator.from_graph(g)

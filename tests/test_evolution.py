@@ -696,3 +696,17 @@ def test_lump_splits_a_run_whose_keys_collide_but_rows_differ():
     reps, sizes, inverse = evolution._lump(rows, None, None, 1)
     assert np.array_equal(reps, np.arange(5)) and np.array_equal(inverse, np.arange(5))
     assert np.array_equal(sizes, np.ones(5))
+
+
+def test_as_distribution_refuses_nan():
+    # NaN compares False with every bound, so each check is written to fail on it
+    with pytest.raises(ValueError, match="NaN probability"):
+        evolution.as_distribution([math.nan, 1.0])
+
+
+def test_as_state_refuses_nan():
+    with pytest.raises(ValueError, match="state norm nan is not 1"):
+        evolution.as_state([math.nan, 1.0])
+    with pytest.raises(ValueError, match="state norm nan is not 1"):
+        limiting_distribution(HermitianOperator.from_graph(generate_path(2)), [math.nan, 1.0])
+

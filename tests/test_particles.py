@@ -27,8 +27,8 @@ from qwalk import (
     phased,
     two_particle_correlation,
 )
-from qwalk.evolution import as_distribution, uniform_state
-from qwalk.particles import _PHASED_HAS_NO_GRAPH, _pair_evolve
+from qwalk.evolution import as_distribution, basis_state, uniform_state
+from qwalk.particles import _PHASED_HAS_NO_GRAPH, _pair_walk
 
 
 def _coupler():
@@ -124,9 +124,8 @@ def test_boson_weights_limited_set():
 
 @pytest.mark.parametrize("refuse", [
     build_extended_hamiltonian, extended_graph,
-    lambda g, kind: _pair_evolve(g, ExtendedBasis(g.n, kind), None, np.zeros(1)),
     lambda g, kind: correlation_via_extended_walk(g, kind, (0, 1), 1.0)],
-    ids=["build_extended_hamiltonian", "extended_graph", "pair_evolve", "extended_walk"])
+    ids=["build_extended_hamiltonian", "extended_graph", "extended_walk"])
 def test_phased_pair_refused_before_any_eigh(refuse, eigh_calls):
     with pytest.raises(ValueError) as refused:
         refuse(generate_path(3), phased(0.4))
@@ -227,6 +226,14 @@ def test_pair_factorization_matches_dense_eigh(g, tag):
     assert np.abs(h.evolve_many(psi0, times) - dense.evolve_many(psi0, times)).max() <= 1e-10
 
 
+def _graph_walk(g, basis, psi0, times):
+    """The pair walk from extended-basis amplitudes ``psi0`` at ``times``,
+    one row per time, as graph certificates run it: from one eigh of ``g``."""
+    w, v = HermitianOperator.from_graph(g).spectral_decompose()
+    left = v * np.exp(-1j * np.multiply.outer(times, w))[:, None, :]
+    return _pair_walk(basis, basis._modes, psi0, [left], v)
+
+
 @given(g=_weighted_graphs(max_n=8), tag=st.sampled_from(["distinguishable", "boson", "fermion"]),
        later=st.lists(st.floats(0.0, 5.0), max_size=6), seed=st.integers(0, 2**16))
 @example(g=Graph.from_edges(4, []), tag="boson", later=[1.0], seed=0)
@@ -239,14 +246,49 @@ def test_pair_evolve_matches_the_dense_extended_walk(g, tag, later, seed):
     basis, ext = extended_graph(g, kind)
     dense = HermitianOperator.from_graph(ext)
     times = np.array([0.0] + sorted(later))
-    psi0 = uniform_state(len(basis))
-    probs = np.abs(_pair_evolve(g, basis, psi0, times)) ** 2
-    assert np.abs(probs - np.abs(dense.evolve_many(psi0, times)) ** 2).max() <= 1e-12
+    for psi0 in (uniform_state(len(basis)), _random_state(len(basis), seed)):
+        probs = np.abs(dense.evolve_many(psi0, times)) ** 2
+        assert np.abs(_graph_walk(g, basis, psi0, times) - probs.T).max() <= 1e-12
+
+
+def _random_state(dim, seed):
     rng = np.random.default_rng(seed)
-    psi0 = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
-    psi0 /= np.linalg.norm(psi0)
-    amps = _pair_evolve(g, basis, psi0, times)
-    assert np.abs(amps - dense.evolve_many(psi0, times)).max() <= 1e-12
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return psi / np.linalg.norm(psi)
+
+
+def test_pair_walk_entangled_400_states_matches_the_dense_extended_walk():
+    # a random entangled pair of distinguishable particles on a 20-vertex
+    # base: the 400-state space of the paper's chip, in ideal arithmetic, so
+    # both routes hold total probability 1 and no device fidelity enters
+    g = generate_erdos_renyi(20, 0.3, seed=3)
+    basis, ext = extended_graph(g, DISTINGUISHABLE)
+    assert len(basis) == 400
+    psi0 = _random_state(400, 20)
+    times = np.linspace(0.0, 4.0, 9)
+    probs = np.abs(HermitianOperator.from_graph(ext).evolve_many(psi0, times)) ** 2
+    walk = _graph_walk(g, basis, psi0, times)
+    assert np.abs(walk - probs.T).max() <= 1e-12
+    assert np.abs(walk.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+@given(g=_weighted_graphs(max_n=8), phase=st.floats(0.0, 2 * math.pi, exclude_max=True),
+       a=st.integers(0, 7), b=st.integers(0, 7), later=st.lists(st.floats(0.0, 5.0), max_size=5))
+@example(g=generate_cycle(6), phase=1.0, a=2, b=2, later=[0.7])
+@settings(max_examples=60, deadline=None)
+def test_pair_walk_phased_matches_correlation(g, phase, a, b, later):
+    # the graph walk, from an extended-basis state through V^T Psi0 V, against
+    # the correlation through each time's propagator
+    kind = phased(phase)
+    a, b = sorted((a % g.n, b % g.n))
+    if a == b and abs(1 + kind.exchange_phase) ** 2 < 2e-12:
+        return  # no phased state occupies one mode at the fermionic point
+    basis = ExtendedBasis(g.n, kind)
+    times = np.array([0.0] + sorted(later))
+    walk = _graph_walk(g, basis, basis_state(len(basis), basis.index(a, b)), times)
+    h = HermitianOperator.from_graph(g)
+    for row, t in zip(walk, times):
+        assert np.abs(row - two_particle_correlation(h.propagator(t), (a, b), kind)[1]).max() <= 1e-12
 
 
 def test_readme_quickstart_runs_verbatim(capsys):
@@ -309,6 +351,11 @@ def test_correlation_validation():
         two_particle_correlation(np.eye(3), (1, 1), FERMION)  # double occupation
     with pytest.raises(ValueError):
         two_particle_correlation(np.eye(3), (0, 5), BOSON)  # out of range
+
+
+def test_correlation_refuses_a_nan_unitary():
+    with pytest.raises(ValueError, match="U is not unitary"):
+        two_particle_correlation(np.full((3, 3), np.nan), (0, 1), BOSON)
 
 
 def test_correlations_sum_to_one():
