@@ -6,14 +6,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
-from .dynamics import _refined_peak
 from .evolution import (
     _BLOCK_VALUES,
     HermitianOperator,
     _as_times,
     _check_series_size,
-    _series,
+    _series_peak,
     limiting_distribution,
     time_average_distribution,
     uniform_state,
@@ -119,13 +119,6 @@ class SearchResult:
     peak_at_boundary: bool  # t_opt is 0 or the horizon: the window may cut the peak
 
 
-# Pure bisection shrinks a bracket of two grid steps (at most horizon / 15.5,
-# since a grid has at least 32 points) below _PEAK_XTOL * max(1, horizon) in
-# 40 halvings, so the cap ends only a readout with no usable curvature.
-_PEAK_XTOL = 1e-13
-_NEWTON_CAP = 48
-
-
 def _search_peak(h: HermitianOperator, psi0: np.ndarray, marked: list[int], horizon: float):
     """Peak marked-set probability within the horizon and its time.
 
@@ -139,59 +132,25 @@ def _search_peak(h: HermitianOperator, psi0: np.ndarray, marked: list[int], hori
     periods = 8 * float(w[-1] - w[0]) * horizon / (2 * math.pi)  # floats: overflow is a silent inf
     _check_series_size(len(w), max(32, periods + 1))
     points = max(32, math.ceil(periods) + 1)
-    return _series_peak(w, rows, np.linspace(0.0, horizon, points))
+    return _series_peak(w, rows, np.linspace(0.0, horizon, points), -1j)[:2]
 
 
-def _series_peak(w: np.ndarray, rows: np.ndarray, times: np.ndarray) -> tuple[float, float]:
-    """Peak of S(t) = sum_m |a_m(t)|^2, a = rows @ exp(-i w t), over ``times``.
-
-    The grid argmax is refined between its two grid neighbours by a
-    safeguarded Newton iteration on the exact derivatives: one product gives
-    a, a' and a'', so S' = 2 Re sum conj(a) a' and
-    S'' = 2 Re sum (|a'|^2 + conj(a) a''). Each step shrinks the bracket
-    toward the sign of S', then takes the Newton step -S'/S'' where S'' < 0
-    and the step lands inside the bracket, and bisects it otherwise. It stops
-    when the step or the bracket is below _PEAK_XTOL * max(1, horizon), when
-    S' is at roundoff, or after _NEWTON_CAP steps. Returns the point reached
-    and its value, or the grid maximum where that reads higher.
-
-    The point reached, not the best point seen, is returned: near the peak S
-    is flat to roundoff, so an earlier iterate can read a few ulps higher
-    while lying sqrt(eps / |S''|) away from it.
-    """
-    values = (np.abs(_series(w, rows, None, times, -1j)) ** 2).sum(axis=0)
+def _refined_peak(f, grid: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """The gamma tuner's finder (each readout is a search, with no derivatives
+    to follow): the peak point, peak value and ``f(grid)`` of the vectorized
+    readout ``f``, its grid argmax refined by bounded Brent between the grid
+    neighbours, never below the grid maximum. Brent steps and stops on the
+    scale sqrt(eps) * |x| + xatol / 3, so it places gamma to about
+    1.5e-8 * gamma, not to ``xatol``, and less closely on a flat readout."""
+    values = f(grid)
     k = int(np.argmax(values))
-    t = float(times[k])
-    lo, hi = float(times[max(k - 1, 0)]), float(times[min(k + 1, len(times) - 1)])
-    tol = _PEAK_XTOL * max(1.0, float(times[-1]))
-    rate = -1j * w
-    derivs = np.stack([rows, rate * rows, -(w * w) * rows])
-    # S' cannot be resolved closer to 0 than the roundoff of its products
-    mags = np.abs(rows)
-    floor = 16 * np.finfo(float).eps * float(mags.sum() * (mags * np.abs(w)).sum())
-    for _ in range(_NEWTON_CAP):
-        phase = rate * t
-        a, a1, a2 = derivs @ np.exp(phase, out=phase)
-        d1 = 2 * np.vdot(a, a1).real
-        if abs(d1) <= floor:
-            break
-        if d1 > 0:
-            lo = t
-        else:
-            hi = t
-        d2 = 2 * (np.vdot(a1, a1).real + np.vdot(a, a2).real)
-        t_next = t - d1 / d2 if d2 < 0 else t
-        if not lo < t_next < hi:
-            t_next = 0.5 * (lo + hi)
-        if hi - lo <= tol or abs(t_next - t) <= tol:
-            break
-        t = float(t_next)
-    else:  # the cap ended the loop after a step: read the point it reached
-        a = rows @ np.exp(rate * t)
-    s = float(np.vdot(a, a).real)
-    if s >= values[k]:
-        return t, s
-    return float(times[k]), float(values[k])
+    lo = grid[max(k - 1, 0)]
+    hi = grid[min(k + 1, len(grid) - 1)]
+    res = minimize_scalar(lambda x: -f(np.array([x]))[0], bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-10})
+    if values[k] > -res.fun:
+        return float(grid[k]), float(values[k]), values
+    return float(res.x), float(-res.fun), values
 
 
 def _vertex_set(vertices, n: int, name: str) -> list[int]:
@@ -211,8 +170,9 @@ def spatial_search(g: Graph, marked, start=None, gamma_strategy="auto",
     The walker starts in the uniform superposition over ``start`` (all
     vertices when None). Each gamma's peak is read from a time grid sized to
     the bandwidth of its spectrum (8 points per shortest period, at least
-    32) and refined by safeguarded Newton on the exact time derivatives of
-    the marked-set probability. For gamma_strategy="auto", gamma is tuned to
+    32) and refined to about 1e-13 * max(1, horizon) by the safeguarded
+    Newton iteration that also refines hitting peaks (``_series_peak``).
+    For gamma_strategy="auto", gamma is tuned to
     maximize the peak success probability over (0, 2 / lambda_max] by
     ``_refined_peak``: a 25-point scan, refined by bounded Brent between the
     grid neighbours of its best point, which locates gamma to about
@@ -304,8 +264,13 @@ def gi_test(g1: Graph, g2: Graph, times=None, threshold: float = 0.05,
     Returns (verdict, per-time L1 distance trace). Verdict is
     "non-isomorphic" when the mean certificate distance exceeds the
     threshold, else "consistent-with-isomorphic". The threshold must be
-    finite and non-negative.
+    finite and non-negative. Only boson and distinguishable pairs are
+    accepted, before any eigh: fermion and phased certificates depend on the
+    vertex order (``graph_certificate``), so they could flag true isomorphs.
     """
+    if kind.tag not in ("boson", "distinguishable"):
+        raise ValueError(f"gi_test takes boson or distinguishable pairs; a {kind.tag} "
+                         "certificate depends on the vertex order")
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be finite and non-negative, got {threshold}")
     if g1.n != g2.n:

@@ -49,6 +49,7 @@ from .graphs import (
 )
 from .particles import (
     BOSON,
+    ExtendedBasis,
     ParticleKind,
     build_extended_hamiltonian,
     extended_graph,
@@ -155,16 +156,15 @@ def _base_graph(family, size, p, m, seed, graph_file):
 
 
 def _dyn_setup(family: str, size: int | None):
-    """Size, extended boson graph, its quantum operator (factorized when first
-    called for) and corner start/target for hitting/mixing."""
+    """Size, base graph, its boson pair basis and corner start/target for
+    hitting/mixing; each walker builds the pair operator it reads."""
     if family not in DYN_FAMILIES:
         raise ValueError(f"family must be one of {', '.join(DYN_FAMILIES)}")
     base_family, default_size = DYN_FAMILIES[family]
     size = default_size if size is None else size
     base = GENERATORS[base_family](size)
-    basis, ext = extended_graph(base, BOSON)
-    operator = lambda: build_extended_hamiltonian(base, BOSON)[1]
-    return size, ext, operator, basis.index(0, 0), basis.index(base.n - 1, base.n - 1)
+    basis = ExtendedBasis(base.n, BOSON)
+    return size, base, basis, basis.index(0, 0), basis.index(base.n - 1, base.n - 1)
 
 
 def _unset_to_default(walker: str, experiment: str, **options) -> dict:
@@ -175,24 +175,25 @@ def _unset_to_default(walker: str, experiment: str, **options) -> dict:
 
 def _hitting(setup, walker: str, t_max=None, dt=None):
     """Corner-to-corner hitting of one walker; returns the result and its grid."""
-    _, ext, operator, start, target = setup
+    _, base, _, start, target = setup
     grid = _unset_to_default(walker, "hitting", t_max=t_max, dt=dt)
     if walker == "quantum":
-        res = quantum_hitting(operator(), start, target, **grid)
+        res = quantum_hitting(build_extended_hamiltonian(base, BOSON)[1], start, target, **grid)
     else:
-        res = classical_hitting(ext, start, target, **grid)
+        res = classical_hitting(extended_graph(base, BOSON)[1], start, target, **grid)
     return res, grid
 
 
 def _mixing(setup, walker: str, eps: float, dt: float, horizon=None):
     """Epsilon-mixing of one walker from the start corner; returns the result
     and its horizon."""
-    _, ext, operator, start, _ = setup
+    _, base, basis, start, _ = setup
     horizon = _unset_to_default(walker, "mixing", horizon=horizon)["horizon"]
+    psi0 = basis_state(len(basis), start)
     if walker == "quantum":
-        res = quantum_mixing_time(operator(), basis_state(ext.n, start), eps, horizon, dt)
+        res = quantum_mixing_time(build_extended_hamiltonian(base, BOSON)[1], psi0, eps, horizon, dt)
     else:
-        res = classical_mixing_time(ext, basis_state(ext.n, start).real, eps, horizon, dt)
+        res = classical_mixing_time(extended_graph(base, BOSON)[1], psi0.real, eps, horizon, dt)
     return res, horizon
 
 
@@ -350,12 +351,12 @@ def correlate_cmd(ctx, graph_file, family, size, p, m, particles, inputs, t):
 def hitting_cmd(ctx, family, size, walker, t_max, dt):
     """Corner-to-corner hitting on a boson-extended graph."""
     setup = _dyn_setup(family, size)
-    size, ext, _, start, target = setup
+    size, _, basis, start, target = setup
     res, grid = _hitting(setup, walker, t_max, dt)
     csv_path = Path(ctx.obj["out_dir"]) / f"hitting_{family}_{walker}.csv"
     _write_csv(csv_path, ["t", "p_target"], zip(res.times, res.profile))
     _report(ctx, "hitting", {
-        "extended_dim": ext.n,
+        "extended_dim": len(basis),
         "start": start,
         "target": target,
         "t_opt": res.t_opt,
@@ -379,12 +380,12 @@ def hitting_cmd(ctx, family, size, walker, t_max, dt):
 def mixing_cmd(ctx, family, size, walker, eps, horizon, dt):
     """Epsilon-mixing time on a boson-extended graph."""
     setup = _dyn_setup(family, size)
-    size, ext, *_ = setup
+    size, _, basis, *_ = setup
     res, horizon = _mixing(setup, walker, eps, dt, horizon)
     csv_path = Path(ctx.obj["out_dir"]) / f"mixing_{family}_{walker}.csv"
     _write_csv(csv_path, ["t", "tv_distance"], zip(res.times, res.trace))
     _report(ctx, "mixing", {
-        "extended_dim": ext.n,
+        "extended_dim": len(basis),
         "t_mix": res.t_mix,
         "trace_csv": str(csv_path),
     }, size=size, horizon=horizon)
@@ -550,7 +551,7 @@ def _fig_mixing(fig_dir, family):
     for size in sizes:
         setup = _dyn_setup(family, size)
         qt, ct = (_mixing(setup, w, 0.25, 0.05)[0].t_mix for w in ("quantum", "classical"))
-        rows.append((size, setup[1].n, qt, ct))
+        rows.append((size, len(setup[2]), qt, ct))
     _write_csv(fig_dir / f"{family}_mixing.csv",
                ["size", "extended_dim", "t_mix_quantum", "t_mix_classical"], rows)
     qt = [r[2] for r in rows]

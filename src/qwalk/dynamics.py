@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .evolution import (
     HermitianOperator,
@@ -19,8 +18,8 @@ from .evolution import (
     _classical_spectrum,
     _fold,
     _lump,
-    _series,
     _series_blocks,
+    _series_peak,
     _sized,
     _stationary,
     as_distribution,
@@ -48,6 +47,10 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class HittingResult:
+    """Peak of a hitting profile: ``t_opt`` is its grid argmax refined by Newton
+    (``_series_peak``) to about 1e-13 * max(1, t_max), or the argmax itself
+    where the profile is flat to roundoff, as on a classical plateau."""
+
     t_opt: float
     efficiency: float
     peak_at_boundary: bool  # t_opt is the first or last grid point: the window may cut the peak
@@ -78,28 +81,6 @@ def _check_grid(t_max: float, dt: float, dim: int, name: str = "t_max"):
     _check_series_size(dim, t_max / dt + 1)
 
 
-def _refined_peak(f, times: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """Grid argmax of the vectorized readout ``f``, refined by bounded Brent.
-
-    Returns the peak point, the peak value and ``f(times)``. The refinement
-    searches between the two grid neighbours of the argmax and never
-    returns less than the grid maximum. scipy's bounded Brent steps and
-    stops on the scale sqrt(eps) * |x| + xatol / 3, so the peak point (a
-    hitting t_opt, a tuned search gamma) is located to about 1.5e-8 * |x|,
-    not to ``xatol``, and less closely where the readout is flat to
-    roundoff.
-    """
-    values = f(times)
-    k = int(np.argmax(values))
-    lo = times[max(k - 1, 0)]
-    hi = times[min(k + 1, len(times) - 1)]
-    res = minimize_scalar(lambda t: -f(np.array([t]))[0], bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10})
-    if values[k] > -res.fun:
-        return float(times[k]), float(values[k]), values
-    return float(res.x), float(-res.fun), values
-
-
 def _check_hitting(dim: int, start: int, target: int, t_max: float, dt: float) -> None:
     """Refuse a start or target outside the ``dim`` states, equal ones, or
     the grid."""
@@ -110,15 +91,14 @@ def _check_hitting(dim: int, start: int, target: int, t_max: float, dt: float) -
     _check_grid(t_max, dt, dim)
 
 
-def _hitting(w, row, coeffs, t_max: float, dt: float, rate, readout) -> HittingResult:
-    """Peak of readout(row @ exp(rate Lambda t) coeffs) over the grid, where
-    ``row`` is the eigenvectors' value at the target and ``coeffs`` the
-    start's expansion, or None where ``row`` carries it."""
+def _hitting(w, row, t_max: float, dt: float, rate) -> HittingResult:
+    """Refined peak (``_series_peak``) of the readout of row @ exp(rate Lambda t)
+    over the grid, ``row`` the target's series terms: its eigenvector entries
+    times the start's expansion (quantum), or its cell's row (classical)."""
     times = np.arange(0.0, t_max + dt / 2, dt)
-    # Brent refines between grid points, so the grid bounds every |t| the fold must cover
-    w, rows, coeffs = _fold(w, row[None, :], coeffs, times)
-    t_opt, eff, profile = _refined_peak(
-        lambda t: readout(_series(w, rows, coeffs, t, rate)[0]), times)
+    # the refinement stays between grid points, so the grid bounds every |t| the fold must cover
+    w, rows, _ = _fold(w, row[None, :], None, times)
+    t_opt, eff, profile = _series_peak(w, rows, times, rate)
     return HittingResult(t_opt=t_opt, efficiency=eff, peak_at_boundary=t_opt in (times[0], times[-1]),
                          times=times, profile=profile)
 
@@ -127,7 +107,7 @@ def quantum_hitting(h: HermitianOperator, start: int, target: int, t_max: float,
     """Probability profile |<target| exp(-iHt) |start>|^2 with refined peak."""
     _check_hitting(h.dim, start, target, t_max, dt)
     w, v = h.spectral_decompose()
-    return _hitting(w, v[target], v[start].conj(), t_max, dt, -1j, lambda amp: np.abs(amp) ** 2)
+    return _hitting(w, v[target] * v[start].conj(), t_max, dt, -1j)
 
 
 def classical_hitting(g_ext: Graph, start: int, target: int, t_max: float, dt: float) -> HittingResult:
@@ -135,7 +115,7 @@ def classical_hitting(g_ext: Graph, start: int, target: int, t_max: float, dt: f
     factorized on the cells of the walk from ``start``."""
     _check_hitting(g_ext.n, start, target, t_max, dt)
     w, terms, cells = _classical_spectrum(g_ext, basis_state(g_ext.n, start).real)
-    return _hitting(w, terms[cells[target]], None, t_max, dt, 1, np.real)
+    return _hitting(w, terms[cells[target]], t_max, dt, 1)
 
 
 def _fit_residuals(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

@@ -218,6 +218,11 @@ _FOLD_OVERHEAD = 2**16
 # glued trees, cycles and Q_4 (the classical generator on the 7-layer tree);
 # distinct rows by at least 3.7e-4.
 _LUMP_L1 = 1e-11
+# Pure bisection shrinks a bracket of two grid steps (at most max|t| / 5, since
+# a readout grid has at least 11 points) below _PEAK_XTOL * max(1, max|t|) in
+# 41 halvings, so the cap ends only a readout with no usable curvature.
+_PEAK_XTOL = 1e-13
+_NEWTON_CAP = 48
 
 
 def _bipartition(M: np.ndarray):
@@ -394,6 +399,62 @@ def _series(w, rows, coeffs, times: np.ndarray, rate) -> np.ndarray:
     for lo in range(0, times.size, width):
         out[:, lo:lo + width] = _series_block(w, rows, coeffs, times[lo:lo + width], rate)
     return out
+
+
+def _series_peak(w, rows, times: np.ndarray, rate) -> tuple[float, float, np.ndarray]:
+    """Peak over ``times`` of S(t) = sum_m |a_m|^2 (rate -1j, quantum) or
+    sum_m a_m (rate 1, classical), a = rows @ exp(rate w t), its value and S
+    over ``times``.
+
+    The grid argmax is refined between its grid neighbours by safeguarded
+    Newton on exact derivatives: with r = rate w, one product of the rows
+    scaled by 1, r and r^2 gives a, a' and a'', so S' = 2 Re sum conj(a) a'
+    and S'' = 2 Re sum (|a'|^2 + conj(a) a'') (quantum) or S' = sum a' and
+    S'' = sum a''. Each step shrinks the bracket toward the sign of S', then
+    steps -S'/S'' where S'' < 0 and that lands inside the bracket, and
+    bisects otherwise. It stops when the step or the bracket is below
+    _PEAK_XTOL * max(1, max|t|), when S' is at roundoff, or after
+    _NEWTON_CAP steps, and returns the point reached, or the grid maximum
+    where that reads higher, as on a plateau flat to roundoff (a classical
+    walk's approach to its limit). Not the best point seen: near the peak S
+    is flat to roundoff, so an earlier iterate can read a few ulps higher
+    while lying sqrt(eps / |S''|) away from it.
+    """
+    quantum = rate == -1j
+    series = _series(w, rows, None, times, rate)
+    values = (np.abs(series) ** 2 if quantum else series).sum(axis=0)
+    k = int(np.argmax(values))
+    t = float(times[k])
+    lo, hi = float(times[max(k - 1, 0)]), float(times[min(k + 1, len(times) - 1)])
+    tol = _PEAK_XTOL * max(1.0, float(times[-1]))
+    r = rate * w
+    derivs = np.stack([rows, r * rows, r * r * rows])
+    # S' cannot be resolved closer to 0 than the roundoff of its products
+    mags = np.abs(rows)
+    floor = 16 * _EPS * float((mags * np.abs(w)).sum() * (mags.sum() if quantum else 1.0))
+    for _ in range(_NEWTON_CAP):
+        phase = r * t
+        a, a1, a2 = derivs @ np.exp(phase, out=phase)
+        d1 = 2 * np.vdot(a, a1).real if quantum else a1.sum()
+        if abs(d1) <= floor:
+            break
+        if d1 > 0:
+            lo = t
+        else:
+            hi = t
+        d2 = 2 * (np.vdot(a1, a1).real + np.vdot(a, a2).real) if quantum else a2.sum()
+        t_next = t - d1 / d2 if d2 < 0 else t
+        if not lo < t_next < hi:
+            t_next = 0.5 * (lo + hi)
+        if hi - lo <= tol or abs(t_next - t) <= tol:
+            break
+        t = float(t_next)
+    else:  # the cap ended the loop after a step: read the point it reached
+        a = rows @ np.exp(r * t)
+    s = float(np.vdot(a, a).real if quantum else a.sum())
+    if s >= values[k]:
+        return t, s, values
+    return float(times[k]), float(values[k]), values
 
 
 def _series_blocks(w, rows, coeffs, times: np.ndarray, rate):

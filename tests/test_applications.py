@@ -37,9 +37,8 @@ from qwalk import (
     uniform_state,
 )
 from qwalk import applications
-from qwalk.applications import _search_peak, _series_peak
-from qwalk.dynamics import _refined_peak
-from qwalk.evolution import _series
+from qwalk.applications import _refined_peak, _search_peak
+from qwalk.evolution import _series, _series_peak
 from qwalk.graphs import Graph
 
 
@@ -340,9 +339,9 @@ def _search_grid(monkeypatch, g, marked, gamma, horizon):
     """The search result at a fixed gamma and the time grid it was read from."""
     grids = []
 
-    def spy(w, rows, times):
+    def spy(w, rows, times, rate):
         grids.append(times)
-        return _series_peak(w, rows, times)
+        return _series_peak(w, rows, times, rate)
 
     monkeypatch.setattr(applications, "_series_peak", spy)
     res = spatial_search(g, marked, gamma_strategy=gamma, horizon=horizon)
@@ -370,11 +369,11 @@ def test_search_grid_floor_and_flat_spectrum(monkeypatch):
     assert math.isclose(res.success, 1.0, abs_tol=1e-12)
 
 
-def _brent_series_peak(w, rows, times):
+def _brent_series_peak(w, rows, times, rate):
     """The time refinement _search_peak had before Newton, kept as the
     reference: bounded Brent through _refined_peak between the grid
     neighbours of the argmax."""
-    return _refined_peak(lambda t: (np.abs(_series(w, rows, None, t, -1j)) ** 2).sum(axis=0),
+    return _refined_peak(lambda t: (np.abs(_series(w, rows, None, t, rate)) ** 2).sum(axis=0),
                          times)[:2]
 
 
@@ -553,17 +552,18 @@ def test_gi_flags_path_vs_star():
     assert verdict == "non-isomorphic"
 
 
-def test_gi_phased_pair_walk():
-    # a phased pair has no real extended graph, but its mode-matrix walk
-    # gives certificates like any other kind. Its uniform start puts the
-    # exchange phase on the later mode of each pair, so it depends on the
-    # vertex order, and the verdict, not a roundoff trace, is asserted
+def test_gi_phased_pair_walk(eigh_calls):
+    # fermion and phased starts put the exchange phase on the later vertex of
+    # each pair, so a relabelled G(10, 0.4) read "non-isomorphic" (mean trace
+    # 0.227 for fermions, 0.192 for phased(3.0)); gi_test refuses them before
+    # any eigh, and graph_certificate still takes them
     g = generate_erdos_renyi(10, 0.4, seed=9)
-    perm = list(np.random.default_rng(2).permutation(10))
-    verdict, _ = gi_test(g, permute_graph(g, perm), kind=phased(0.4))
-    assert verdict == "consistent-with-isomorphic"
-    verdict, _ = gi_test(generate_path(4), generate_star(4), kind=phased(0.4))
-    assert verdict == "non-isomorphic"
+    gp = permute_graph(g, list(np.random.default_rng(2).permutation(10)))
+    for kind in (FERMION, phased(0.4), phased(3.0)):
+        with pytest.raises(ValueError, match=f"boson or distinguishable pairs; a {kind.tag} "):
+            gi_test(g, gp, kind=kind)
+    assert eigh_calls == []
+    assert graph_certificate(g, phased(0.4)).sorted_profiles.shape == (10, 55)
 
 
 def test_gi_never_flags_true_isomorphs():

@@ -13,6 +13,7 @@ from qwalk import (
     HermitianOperator,
     basis_state,
     correlation_via_extended_walk,
+    extended_graph,
     generate_cycle,
     generate_path,
     generate_star,
@@ -355,7 +356,8 @@ def test_pair_route_matches_the_dense_extended_operator(family, size):
     # the hitting and mixing commands' quantum walker, factorized from the
     # base graph, against the dense eigh of the extended graph it walks on
     setup = cli._dyn_setup(family, size)
-    _, ext, _, start, target = setup
+    _, base, _, start, target = setup
+    _, ext = extended_graph(base, BOSON)
     dense = HermitianOperator.from_graph(ext)
     hit, grid = cli._hitting(setup, "quantum")
     ref = quantum_hitting(dense, start, target, **grid)
@@ -373,11 +375,12 @@ def test_pair_route_matches_the_dense_extended_operator(family, size):
 @pytest.mark.parametrize("family", cli.DYN_FAMILIES)
 def test_pair_route_factors_only_the_base_graph(family, monkeypatch, eigh_calls):
     # quantum hitting, mixing and centrality on the boson pair build no dense
-    # matrix larger than the base and check no factorization larger than it
+    # matrix larger than the base, check no factorization larger than it and
+    # build no extended graph
     base_family, size = cli.DYN_FAMILIES[family]
     n = cli.GENERATORS[base_family](size).n
-    dense, checked = [], []
-    adjacency, set_spectrum = Graph.adjacency, HermitianOperator._set_spectrum
+    dense, checked, extended = [], [], []
+    adjacency, set_spectrum, build = Graph.adjacency, HermitianOperator._set_spectrum, cli.extended_graph
 
     def recording_adjacency(g):
         dense.append(g.n)
@@ -390,6 +393,7 @@ def test_pair_route_factors_only_the_base_graph(family, monkeypatch, eigh_calls)
 
     monkeypatch.setattr(Graph, "adjacency", recording_adjacency)
     monkeypatch.setattr(HermitianOperator, "_set_spectrum", recording_set_spectrum)
+    monkeypatch.setattr(cli, "extended_graph", lambda *args: extended.append(args) or build(*args))
     setup = cli._dyn_setup(family, None)
     cli._hitting(setup, "quantum")
     cli._mixing(setup, "quantum", 0.25, 0.05)
@@ -397,3 +401,4 @@ def test_pair_route_factors_only_the_base_graph(family, monkeypatch, eigh_calls)
     assert dense and max(dense) == n
     assert checked == [n] * 3
     assert eigh_calls == [(n, n)] * 3
+    assert extended == []

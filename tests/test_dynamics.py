@@ -33,7 +33,7 @@ from qwalk import (
     time_average_distribution,
 )
 from qwalk import evolution
-from qwalk.dynamics import _refined_peak
+from qwalk.applications import _refined_peak
 
 
 def _k2():
@@ -46,7 +46,18 @@ def _k2():
 def test_k2_quantum_hitting():
     res = quantum_hitting(_k2(), 0, 1, 3.0, 0.01)
     assert math.isclose(res.efficiency, 1.0, abs_tol=1e-9)
-    assert math.isclose(res.t_opt, math.pi / 2, abs_tol=1e-6)
+    assert math.isclose(res.t_opt, math.pi / 2, abs_tol=1e-12)
+
+
+def test_hitting_peak_refinement_takes_newton_steps(monkeypatch):
+    # one exp for the grid, then one per step: Newton reaches pi / 2 from the
+    # grid's 1.57 in a few steps, where bisecting the 0.02 bracket takes about 35
+    exp_calls = []
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda *args, **kwargs: exp_calls.append(1) or exp(*args, **kwargs))
+    res = quantum_hitting(_k2(), 0, 1, 3.0, 0.01)
+    assert math.isclose(res.t_opt, math.pi / 2, abs_tol=1e-12)
+    assert len(exp_calls) <= 6
 
 
 def test_k2_classical_hitting_half():
@@ -160,12 +171,59 @@ def test_ecube_sweep_classical_drops_quantum_does_not():
 
 
 def test_hypercube_pair_transfer_is_perfect():
+    # sin^16 t: Newton places its first peak at pi / 2, also on the grid of
+    # criterion 3, which holds later peaks as well
     base = generate_hypercube(4)
     basis, ext = extended_graph(base, BOSON)
     h = HermitianOperator.from_graph(ext)
-    res = quantum_hitting(h, basis.index(0, 0), basis.index(15, 15), 3.0, 0.01)
-    assert math.isclose(res.efficiency, 1.0, abs_tol=1e-9)
-    assert math.isclose(res.t_opt, math.pi / 2, abs_tol=1e-6)
+    for t_max in (3.0, 20.0):
+        res = quantum_hitting(h, basis.index(0, 0), basis.index(15, 15), t_max, 0.01)
+        assert math.isclose(res.efficiency, 1.0, abs_tol=1e-12)
+        assert math.isclose(res.t_opt, math.pi / 2, abs_tol=1e-12)
+
+
+def _hitting_reference(w, v, start, target, rate):
+    """The target's readout from the dense eigenpairs ``(w, v)`` of H (rate
+    -1j) or Q (rate 1), its slope, and the roundoff floor of that slope."""
+    terms = v[target] * v[start]
+    mags = np.abs(terms)
+    floor = 64 * np.finfo(float).eps * (mags * np.abs(w)).sum()
+
+    def amplitude(t, scale=1):
+        return (scale * terms) @ np.exp(rate * np.multiply.outer(w, t))
+
+    if rate == 1:
+        return amplitude, lambda t: amplitude(t, w), floor
+    return (lambda t: np.abs(amplitude(t)) ** 2,
+            lambda t: 2 * (amplitude(t).conjugate() * amplitude(t, rate * w)).real,
+            floor * mags.sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 7), p=st.floats(0.2, 0.8),
+       pair=st.booleans(), quantum=st.booleans())
+def test_hitting_newton_peak_matches_brent_reference(seed, n, p, pair, quantum):
+    # hitting on G(n, p) or its boson pair against bounded Brent
+    # (_refined_peak) on the same readout from a dense eigh
+    g = generate_erdos_renyi(n, p, seed=seed)
+    if pair:
+        _, g = extended_graph(g, BOSON)
+    rng = np.random.default_rng(seed)
+    start, target = (int(x) for x in rng.choice(g.n, size=2, replace=False))
+    if quantum:
+        w, v = np.linalg.eigh(g.adjacency())
+        res = quantum_hitting(HermitianOperator.from_graph(g), start, target, 20.0, 0.05)
+    else:
+        w, v = np.linalg.eigh(classical_generator(g))
+        res = classical_hitting(g, start, target, 200.0, 0.5)
+    readout, slope, floor = _hitting_reference(w, v, start, target, -1j if quantum else 1)
+    ref_t, ref_eff, _ = _refined_peak(readout, res.times)
+    assert abs(res.efficiency - ref_eff) <= 1e-12
+    # Brent places t to about 1.5e-8 t; on a readout flat to roundoff (a
+    # classical plateau, a target never reached) Newton keeps the grid argmax
+    if abs(res.t_opt - ref_t) > 1e-6 * ref_t:
+        assert res.t_opt in res.times
+        assert abs(slope(res.t_opt)) <= floor
 
 
 # -- mixing --------------------------------------------------------------
