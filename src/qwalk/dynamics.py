@@ -25,7 +25,6 @@ from .evolution import (
     as_distribution,
     as_state,
     basis_state,
-    limiting_distribution,
 )
 from .graphs import Graph
 
@@ -96,8 +95,7 @@ def _hitting(w, row, t_max: float, dt: float, rate) -> HittingResult:
     over the grid, ``row`` the target's series terms: its eigenvector entries
     times the start's expansion (quantum), or its cell's row (classical)."""
     times = np.arange(0.0, t_max + dt / 2, dt)
-    # the refinement stays between grid points, so the grid bounds every |t| the fold must cover
-    w, rows, _ = _fold(w, row[None, :], None, times)
+    w, rows, _ = _fold(w, row[None, :], None, times.size)
     t_opt, eff, profile = _series_peak(w, rows, times, rate)
     return HittingResult(t_opt=t_opt, efficiency=eff, peak_at_boundary=t_opt in (times[0], times[-1]),
                          times=times, profile=profile)
@@ -196,17 +194,17 @@ def quantum_mixing_time(h: HermitianOperator, psi0, eps: float, horizon: float, 
 
     This is the Cesaro mixing of Aharonov, Ambainis, Kempe & Vazirani (STOC
     2001): the reference is the exact long-time average and the trace the TV
-    distance of the average over (0, t]. The running average is carried
-    across the series blocks, so memory does not grow with the horizon.
+    distance of the average over (0, t], both from one series with a term
+    per eigenspace (``_eigenspaces``). The running average is carried across
+    the series blocks, so memory does not grow with the horizon.
     """
     psi0 = _sized(as_state(psi0), h.dim)
 
     def walk(times):
-        reference = limiting_distribution(h, psi0)
-        w, rows, coeffs = h._folded(psi0, times)
-        classes = _lump(rows, coeffs, reference, times.size)
+        w, columns, reference = h._eigenspaces(psi0)
+        classes = _lump(columns, None, reference, times.size)
         return reference, classes, _running_average(
-            _series_blocks(w, rows[classes[0]], coeffs, times, -1j))
+            _series_blocks(w, columns[classes[0]], None, times, -1j))
 
     return _mixing(eps, horizon, dt, h.dim, walk)
 
@@ -221,9 +219,10 @@ def classical_mixing_time(g: Graph, p0, eps: float, horizon: float, dt: float) -
 
     def walk(times):
         w, terms, cells = _classical_spectrum(g, p0)
-        reference = _stationary(g, w, terms, cells)
-        w = np.where(np.abs(w) < 1e-9, 0.0, w)
+        null = np.abs(w) < 1e-9
+        reference = _stationary(g, null, terms, cells)
         classes = np.unique(cells, return_index=True)[1], np.bincount(cells), cells
-        return reference, classes, _series_blocks(*_fold(w, terms, None, times), times, 1)
+        return reference, classes, _series_blocks(
+            *_fold(np.where(null, 0.0, w), terms, None, times.size), times, 1)
 
     return _mixing(eps, horizon, dt, g.n, walk)

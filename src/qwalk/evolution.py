@@ -28,18 +28,18 @@ labelling, and the eigenpairs must reconstruct the matrix.
 
 Every readout evaluates one spectral series, rows @ exp(rate Lambda t) coeffs,
 over its time points, in blocks of points whose phases and output each hold
-about 2**16 values. Inside an eigenspace all terms share one phase, so
-before its time loop a readout folds each run of equal eigenvalues into one
-term whose column is the run's sum of rows * coeffs, where that saves more
-than it costs. On the highly symmetric graphs (cycles, glued trees,
-hypercubes, lattices) that removes most terms; a non-degenerate spectrum is
-left as it is. Rows repeat too: two states whose folded rows are equal have
-equal amplitudes at every time (lumpability; Kemeny & Snell, Finite Markov
-Chains, 1960, ch. 6). So the quantum readouts that read every state over
-many points, time averages and mixing traces, evaluate one representative
-row per class of equal rows, where that pays, and weight or copy it over
-its class; on the boson pair of the 7-layer glued tree 42 rows stand for
-465 states. Classical readouts evaluate one row per cell.
+about 2**16 values. An eigenspace is a run of eigenvalues the snap made
+equal, for folds, limits and mixing references alike. Its terms share one
+phase, so a readout folds it into one term, its sum of rows * coeffs, where
+that saves more than it costs; limits and mixing always fold. On cycles,
+glued trees, hypercubes and lattices that removes most terms; a non-degenerate
+spectrum is left as it is. Rows repeat too: two states whose folded rows are
+equal have equal amplitudes at every time (lumpability; Kemeny & Snell, Finite
+Markov Chains, 1960, ch. 6). So the quantum readouts that read every state
+over many points, time averages and mixing traces, evaluate one representative
+row per class of equal rows, where that pays, and weight or copy it over its
+class; on the boson pair of the 7-layer glued tree 42 rows stand for 465
+states. Classical readouts evaluate one row per cell.
 Readouts that keep every column (``evolve_many``, hitting profiles) get the
 blocks written into one array; readouts that reduce over time (time
 averages, mixing traces) consume the blocks one at a time and never hold a
@@ -173,12 +173,19 @@ class HermitianOperator:
     def evolve_many(self, psi0: np.ndarray, times) -> np.ndarray:
         """States at several times, one column per time point."""
         times = _as_times(times)
-        return _series(*self._folded(psi0, times), times, -1j)
+        return _series(*self._folded(psi0, times.size), times, -1j)
 
-    def _folded(self, psi0, times: np.ndarray):
-        """The terms of the series that evolves ``psi0`` over ``times``."""
+    def _folded(self, psi0, points: int):
+        """The terms of the series that evolves ``psi0`` over ``points`` time points."""
         w, v = self.spectral_decompose()
-        return _fold(w, v, v.conj().T @ np.asarray(psi0, dtype=complex), times)
+        return _fold(w, v, v.conj().T @ np.asarray(psi0, dtype=complex), points)
+
+    def _eigenspaces(self, psi0):
+        """Eigenvalues and columns of the series of ``psi0`` with one term per
+        eigenspace (``_merge``), and its long-time average, sum |column|^2."""
+        w, v = self.spectral_decompose()
+        w, columns, _ = _merge(w, v, v.conj().T @ psi0, _runs(w, 0.0))
+        return w, columns, as_distribution((np.abs(columns) ** 2).sum(axis=1), tol=1e-7)
 
 
 # Output values per block of time points; each block is one matrix product.
@@ -200,10 +207,6 @@ _TABLE_VALUES = 2**14
 # A grid point may lie this many times max|t| off the tables' sum of its
 # coarse point and offset: a few ulp, the rounding of an arange or linspace.
 _TABLE_DRIFT = 2.0**-50  # 4 eps
-# A run of eigenvalues folds into one term when its spread times the largest
-# |t| is at most this, so no phase moves by more than half of it (classical
-# rates are <= 0 and readout times >= 0, so neither do classical phases).
-_FOLD_PHASE = 2e-12
 # The fold's fixed cost counted in multiply-adds of the series: its dozen
 # numpy calls take about 20 us, as long as a product of 2**16. Grouping rows
 # (``_lump``) makes about as many calls and is charged the same.
@@ -315,36 +318,37 @@ def _runs(w: np.ndarray, tol: float) -> np.ndarray:
     return np.flatnonzero(split)
 
 
-def _fold(w, rows, coeffs, times: np.ndarray):
-    """The series ``rows @ exp(rate Lambda t) coeffs`` over ``times`` with one
-    term per eigenspace.
+def _fold(w, rows, coeffs, points: int):
+    """The series ``rows @ exp(rate Lambda t) coeffs`` over ``points`` time
+    points with one term per eigenspace (``_merge``) where that pays.
 
-    Each run that ``_runs`` groups at _FOLD_PHASE / max|t| becomes one term:
-    the run's midpoint as eigenvalue and its sum of rows * coeffs as column,
-    with ``None`` for the coefficients it carries (real when they are);
-    ``coeffs`` is None when ``rows`` carry them already. Each
-    merged eigenvalue saves a pass over its column per time point; folding
-    costs two passes over ``rows`` and _FOLD_OVERHEAD. Where that saves
-    nothing, as for one time point or a small series, the inputs come back
-    as they are.
+    Each merged eigenvalue saves a pass over its column per time point;
+    folding costs two passes over ``rows`` and _FOLD_OVERHEAD. Where that
+    saves nothing, as for one time point or a small series, the inputs come
+    back as they are.
     """
 
     def pays(terms):
-        saved = len(rows) * (len(w) - terms) * times.size
-        return saved > 2 * len(rows) * len(w) + _FOLD_OVERHEAD
+        return len(rows) * (len(w) - terms) * points > 2 * len(rows) * len(w) + _FOLD_OVERHEAD
 
-    if not pays(1):  # not even one term for the whole spectrum would pay
-        return w, rows, coeffs
-    t_max = np.abs(times).max()
-    starts = _runs(w, _FOLD_PHASE / t_max if t_max > 0 else np.inf)
-    if not pays(len(starts)):
-        return w, rows, coeffs
+    if pays(1):  # else not even one term for the whole spectrum would pay
+        starts = _runs(w, 0.0)
+        if pays(len(starts)):
+            return _merge(w, rows, coeffs, starts)
+    return w, rows, coeffs
+
+
+def _merge(w, rows, coeffs, starts):
+    """The series with each eigenspace, the run of equal eigenvalues at each of
+    ``starts``, as one term: its eigenvalue, its sum of rows * coeffs (real
+    when they are; ``coeffs`` is None when ``rows`` carry them) and None. Only
+    ``_snap`` makes eigenvalues equal: its runs are the eigenspaces of every
+    fold, limit and mixing reference."""
     if coeffs is not None:
         if np.iscomplexobj(coeffs) and not coeffs.imag.any():
             coeffs = coeffs.real
         rows = rows * coeffs
-    ends = np.append(starts[1:], len(w)) - 1
-    return 0.5 * (w[starts] + w[ends]), np.add.reduceat(rows, starts, axis=1), None
+    return w[starts], np.add.reduceat(rows, starts, axis=1), None
 
 
 def _lump(rows, coeffs, reference, points: int):
@@ -617,19 +621,18 @@ def _classical_spectrum(g: Graph, p0: np.ndarray):
     return rates, rows * (rows.T @ (sizes * p0[first])), cells
 
 
-def _stationary(g: Graph, rates: np.ndarray, terms: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Stationary distribution of the walk on ``g``: the null-rate term of
-    its series (``_classical_spectrum``), refused unless ``g`` is connected.
+def _stationary(g: Graph, null: np.ndarray, terms: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Stationary distribution of the walk on ``g``: the series term whose
+    rate ``null`` marks (``_classical_spectrum``), refused unless ``g`` is connected.
 
     With a cell of one vertex, the vertices it reaches form whole cells, so
     any other component is a union of cells whose indicator is one more
     null vector. Without one, the cells of two components can merge, and
     the graph's edges are searched instead.
     """
-    kernel = np.abs(rates) < 1e-9
-    if kernel.sum() != 1 or (np.bincount(cells).min() > 1 and not g.is_connected()):
+    if null.sum() != 1 or (np.bincount(cells).min() > 1 and not g.is_connected()):
         raise ValueError("stationary distribution not unique (graph disconnected?)")
-    pi = terms[cells, np.flatnonzero(kernel)[0]]
+    pi = terms[cells, np.flatnonzero(null)[0]]
     return as_distribution(pi / pi.sum(), tol=1e-6)
 
 
@@ -642,7 +645,7 @@ def _evolve_classical_many(g: Graph, p0, times) -> np.ndarray:
     if times.size and times.min() < 0:
         raise ValueError(f"a classical walk runs forward only: times must be >= 0, got {times.min()}")
     w, terms, cells = _classical_spectrum(g, p0)
-    series = _series(*_fold(w, terms, None, times), times, 1)[cells]
+    series = _series(*_fold(w, terms, None, times.size), times, 1)[cells]
     return np.stack([as_distribution(p, tol=1e-7) for p in series.T], axis=1)
 
 
@@ -654,15 +657,11 @@ def evolve_classical(g: Graph, p0, t: float) -> np.ndarray:
 def limiting_distribution(h: HermitianOperator, psi0) -> np.ndarray:
     """Long-time average over eigenspace projectors.
 
-    Pbar(v) = sum over distinct eigenvalues of |<v| Pi_lambda |psi0>|^2;
-    each run of eigenvalues spanning at most 1e-8 * max(|lambda|, 1) is one
-    eigenspace.
+    Pbar(v) = sum over distinct eigenvalues of |<v| Pi_lambda |psi0>|^2
+    (Aharonov, Ambainis, Kempe & Vazirani, STOC 2001); each eigenspace is a
+    run of the eigenvalues ``_snap`` made equal, as in every fold.
     """
-    psi0 = _sized(as_state(psi0), h.dim)
-    w, v = h.spectral_decompose()
-    starts = _runs(w, 1e-8 * max(np.abs(w).max(), 1.0))
-    projections = np.add.reduceat(v * (v.conj().T @ psi0), starts, axis=1)
-    return as_distribution((np.abs(projections) ** 2).sum(axis=1), tol=1e-7)
+    return h._eigenspaces(_sized(as_state(psi0), h.dim))[2]
 
 
 def _average_times(t_final: float, steps: int, dim: int) -> np.ndarray:
@@ -684,7 +683,7 @@ def time_average_distribution(h: HermitianOperator, psi0, t_final: float, steps:
     spread over each class after."""
     psi0 = _sized(as_state(psi0), h.dim)
     times = _average_times(t_final, steps, h.dim)
-    w, rows, coeffs = h._folded(psi0, times)
+    w, rows, coeffs = h._folded(psi0, times.size)
     reps, _, inverse = _lump(rows, coeffs, None, times.size)
     total = np.zeros(len(reps))
     for states in _series_blocks(w, rows[reps], coeffs, times, -1j):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,7 +96,8 @@ class ExtendedBasis:
 
     States are lexicographic: ordered pairs (i, j) for distinguishable
     particles, unordered with repetition i <= j for bosons, strictly
-    ordered i < j for fermions.
+    ordered i < j for fermions. Its length is counted, and its mode arrays
+    are built on first use, so a caller can refuse an oversized basis first.
     """
 
     def __init__(self, base_n: int, kind: ParticleKind):
@@ -103,16 +105,18 @@ class ExtendedBasis:
             raise ValueError("base graph needs at least 2 vertices")
         # 1 when a state's second mode must exceed its first (fermions)
         self._strict = int(kind.tag == "fermion")
-        if kind.tag == "distinguishable":
-            first, second = divmod(np.arange(base_n * base_n), base_n)
-        else:
-            first, second = np.triu_indices(base_n, k=self._strict)
         self.base_n = base_n
         self.kind = kind
-        self._modes = (first, second)  # mode-index arrays, one entry per state
+
+    @cached_property
+    def _modes(self):  # mode-index arrays (first, second), one entry per state
+        if self.kind.tag == "distinguishable":
+            return divmod(np.arange(self.base_n**2), self.base_n)
+        return np.triu_indices(self.base_n, k=self._strict)
 
     def __len__(self):
-        return len(self._modes[0])
+        n = self.base_n
+        return n * n if self.kind.tag == "distinguishable" else n * (n + 1 - 2 * self._strict) // 2
 
     @property
     def states(self) -> list[tuple[int, int]]:

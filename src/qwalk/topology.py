@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolution import HermitianOperator, _average_times, time_average_distribution
+from .evolution import HermitianOperator, _average_times, basis_state, time_average_distribution
+from .graphs import _check_dense_size
 
 __all__ = ["TopoModel", "build_topo_model", "amcd", "amcqm"]
 
@@ -61,6 +62,7 @@ def build_topo_model(flavor: str, nx: int, ny: int, v: float, w: float) -> TopoM
     if nx < 2 or ny < 2:
         raise ValueError("need at least 2x2 unit cells")
     n = 4 * nx * ny
+    _check_dense_size(n)  # before the dense n x n matrix and its chiral check
 
     def idx(cx, cy, s):
         return (cy * nx + cx) * 4 + s
@@ -155,15 +157,15 @@ def amcqm(model: TopoModel, initial_sites: tuple[int, int] | None = None,
             model.site_index(cx + 1, cy + 1, 0),
         )
     i1, i2 = initial_sites
+    if not (0 <= i1 < model.n_sites and 0 <= i2 < model.n_sites):
+        raise ValueError(f"initial sites {i1} and {i2} must lie in 0..{model.n_sites - 1}")
     if i1 == i2:
         raise ValueError("fermions cannot share a site")
     a = model.chiral_x * model.m_x
     b = model.chiral_y * model.m_y
     times = _average_times(t_final, steps, model.n_sites)
-    phi1 = model.hamiltonian.evolve_many(
-        np.eye(model.n_sites, dtype=complex)[:, i1], times)
-    phi2 = model.hamiltonian.evolve_many(
-        np.eye(model.n_sites, dtype=complex)[:, i2], times)
+    phi1 = model.hamiltonian.evolve_many(basis_state(model.n_sites, i1), times)
+    phi2 = model.hamiltonian.evolve_many(basis_state(model.n_sites, i2), times)
     p1 = np.abs(phi1) ** 2
     p2 = np.abs(phi2) ** 2
     cross = np.conj(phi1) * phi2  # <phi1|diag|phi2> integrand per site

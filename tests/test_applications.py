@@ -519,6 +519,19 @@ def test_certificate_refuses_an_oversized_grid_before_the_eigh(eigh_calls):
     assert eigh_calls == []
 
 
+def test_certificate_refuses_an_oversized_basis_before_building_it():
+    # 5,000 vertices have 12.5 million boson states: 1.25e8 state-time values
+    # on the default 10 points; the basis's mode arrays alone would take 200 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape("on 12502500 states")):
+            graph_certificate(Graph(n=5000, edges=()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_certificate_at_3240_pair_states():
     # 3,240 boson states on G(80, 0.1); the certificate builds no extended matrix
     g = generate_erdos_renyi(80, 0.1, seed=12)

@@ -350,6 +350,21 @@ def test_oversized_time_grid_exit_2(runner, tmp_path, args, message):
     assert not any(tmp_path.iterdir())
 
 
+def test_oversized_topo_lattice_exit_2(runner, tmp_path, monkeypatch):
+    zeros = np.zeros
+
+    def guarded(shape, *args, **kwargs):
+        if np.prod(shape, dtype=float) > 2**26:
+            raise AssertionError(f"np.zeros asked for {shape}")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", guarded)  # fail instead of allocating
+    result = runner.invoke(main, ["--out-dir", str(tmp_path), "topo", "--nx", "1025", "--ny", "2"])
+    assert result.exit_code == 2, result.output
+    assert "dense adjacency of 8200 vertices" in result.output
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("family, size", [("ergt", 3), ("ergt", 5), ("ecube", 3), ("ecube", 4),
                                           ("enet", 8), ("enet", 20), ("egrid", 8), ("egrid", 19)])
 def test_pair_route_matches_the_dense_extended_operator(family, size):

@@ -34,6 +34,7 @@ from qwalk import (
 )
 from qwalk import evolution
 from qwalk.applications import _refined_peak
+from qwalk.dynamics import _running_average
 
 
 def _k2():
@@ -388,18 +389,32 @@ def test_subnormal_flush_leaves_classical_mixing_unchanged(monkeypatch):
     assert flushed.t_mix == unflushed.t_mix
 
 
-def test_folded_mixing_on_the_boson_cycle_matches_the_unfolded_series(monkeypatch):
+def test_folded_mixing_on_the_boson_cycle_matches_the_unfolded_series():
     # the boson pair on cycle(40) has 820 states but 221 distinct eigenvalues
     basis, ext = extended_graph(generate_cycle(40), BOSON)
     h = HermitianOperator.from_graph(ext)
     psi0 = basis_state(ext.n, basis.index(0, 0))
     times = np.arange(0.05, 200.0 + 0.025, 0.05)
-    assert len(h._folded(psi0, times)[0]) == 221
+    assert len(h._folded(psi0, times.size)[0]) == len(h._eigenspaces(psi0)[0]) == 221
     folded = quantum_mixing_time(h, psi0, 0.25, 200.0, 0.05)
-    monkeypatch.setattr(evolution, "_fold", lambda w, rows, coeffs, times: (w, rows, coeffs))
-    unfolded = quantum_mixing_time(h, psi0, 0.25, 200.0, 0.05)
-    assert np.abs(folded.trace - unfolded.trace).max() <= 1e-12
-    assert folded.t_mix == unfolded.t_mix
+    # the unfolded series, one term per eigenvector, streamed in blocks
+    w, v = h.spectral_decompose()
+    ref = limiting_distribution(h, psi0)[:, None]
+    running = _running_average(evolution._series_blocks(w, v, v.T @ psi0, times, -1j))
+    trace = np.concatenate([0.5 * np.abs(r - ref).sum(axis=0) for r in running])
+    assert np.abs(folded.trace - trace).max() <= 1e-12
+    assert folded.t_mix == _one_shot_t_mix(times, trace, 0.25)
+
+
+def test_limiting_and_mixing_keep_eigenvalues_1e_10_apart_as_two_eigenspaces():
+    # eigenvalues +-5e-11 are distinct, so the Cesaro limit from |0> is [0.5, 0.5]
+    # (Aharonov et al., STOC 2001); grouping them as one eigenspace read [1, 0]
+    delta = 1e-10
+    h = HermitianOperator([[0.0, delta / 2], [delta / 2, 0.0]])
+    assert np.abs(limiting_distribution(h, basis_state(2, 0)) - 0.5).max() <= 1e-12
+    # over 200 time units the phases part by 2e-8: the running average stays near [1, 0]
+    with pytest.raises(ConvergenceError):
+        quantum_mixing_time(h, basis_state(2, 0), 0.25, 200.0, 0.05)
 
 
 # -- readouts on one state per class of equal rows -----------------------

@@ -182,10 +182,10 @@ def test_blocked_series_matches_one_shot(dim, n_rows, width, count, complex_rows
 
 def _planted_spectrum(groups, rate, tol, rng):
     """Ascending eigenvalues with one planted group per (size, kind): exact
-    repeats, repeats one ulp apart, neighbours 1.5 merge bounds apart, or a
-    chain of neighbours 0.7 bounds apart, which spans more than one bound
-    from three members on. Returns them with the number of terms the fold
-    must leave."""
+    repeats, repeats one ulp apart, neighbours 1.5 ``tol`` apart, or a chain
+    of neighbours 0.7 ``tol`` apart. Returns them with the number of terms the
+    fold must leave: only exact repeats are one eigenspace, so every other
+    group keeps a term per member."""
     # centres 0.25 apart; classical rates are <= 0
     centres = -0.25 * (1 + rng.permutation(24)[:len(groups)]) + (0.0 if rate == 1 else 3.0)
     w, terms = [], 0
@@ -196,7 +196,7 @@ def _planted_spectrum(groups, rate, tol, rng):
                     "chain": 0.7 * tol}[kind]
             group.append(group[-1] + step)
         w += group
-        terms += size if kind == "apart" or (kind == "chain" and size > 2) else 1
+        terms += 1 if kind == "exact" else size
     return np.sort(w), terms
 
 
@@ -209,9 +209,8 @@ def _planted_spectrum(groups, rate, tol, rng):
 def test_fold_matches_the_unfolded_series(groups, n_rows, complex_coeffs, rate, t_max, seed):
     rng = np.random.default_rng(seed)
     times = np.linspace(0.0, t_max, 50)
-    w, terms = _planted_spectrum(groups, rate, evolution._FOLD_PHASE / t_max, rng)
-    # unit rows and coefficients bound sum |rows * coeffs| by 1, so by the
-    # merge rule no entry moves by more than 1e-12
+    # neighbours a phase of 2e-12 apart over the window, which the fold keeps apart
+    w, terms = _planted_spectrum(groups, rate, 2e-12 / t_max, rng)
     rows = rng.normal(size=(n_rows, len(w)))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     coeffs = rng.normal(size=len(w)) + (1j * rng.normal(size=len(w)) if complex_coeffs else 0.0)
@@ -220,7 +219,7 @@ def test_fold_matches_the_unfolded_series(groups, n_rows, complex_coeffs, rate, 
     with pytest.MonkeyPatch.context() as mp:
         # with no fixed cost, 50 points make every merge pay
         mp.setattr(evolution, "_FOLD_OVERHEAD", 0)
-        folded = evolution._fold(w, rows, coeffs, times)
+        folded = evolution._fold(w, rows, coeffs, times.size)
         mp.setattr(evolution, "_BLOCK_VALUES", 2 * max(terms, n_rows))  # 2 points per block
         full = _series(*folded, times, rate)
         blocks = np.concatenate(list(_series_blocks(*folded, times, rate)), axis=1)
@@ -320,12 +319,12 @@ def test_fold_returns_a_series_it_cannot_shorten_unchanged(monkeypatch):
     def unchanged(*args):
         return all(a is b for a, b in zip(evolution._fold(*args), args[:3]))
 
-    assert unchanged(np.zeros(6), v, coeffs, times)  # too small to pay for the fixed cost
+    assert unchanged(np.zeros(6), v, coeffs, times.size)  # too small to pay for the fixed cost
     monkeypatch.setattr(evolution, "_FOLD_OVERHEAD", 0)
-    assert unchanged(w, v, coeffs, times)  # non-degenerate
-    assert unchanged(np.zeros(6), v, coeffs, times[:1])  # one point
-    assert unchanged(pair, v, coeffs, times[:12])  # one merge saves 12 passes of the 12 it costs
-    assert len(evolution._fold(pair, v, coeffs, times[:13])[0]) == 5
+    assert unchanged(w, v, coeffs, times.size)  # non-degenerate
+    assert unchanged(np.zeros(6), v, coeffs, times[:1].size)  # one point
+    assert unchanged(pair, v, coeffs, times[:12].size)  # one merge saves 12 passes of the 12 it costs
+    assert len(evolution._fold(pair, v, coeffs, times[:13].size)[0]) == 5
 
 
 # -- classical evolution -------------------------------------------------
@@ -621,7 +620,7 @@ def _relabelled_fold(base, seed, horizon):
     h = HermitianOperator.from_graph(ext)
     psi0 = basis_state(ext.n, basis.index(int(perm[0]), int(perm[0])))
     times = np.arange(0.05, horizon + 0.025, 0.05)
-    w, rows, coeffs = h._folded(psi0, times)
+    w, rows, coeffs = h._folded(psi0, times.size)
     reps = evolution._lump(rows, coeffs, limiting_distribution(h, psi0), times.size)[0]
     return len(w), len(reps)
 
@@ -661,11 +660,11 @@ def _corner_classes(base, rate):
     if rate == -1j:
         h = HermitianOperator.from_graph(ext)
         times = np.arange(0.05, 200.0 + 0.025, 0.05)
-        _, rows, coeffs = h._folded(psi0, times)
+        _, rows, coeffs = h._folded(psi0, times.size)
         return evolution._lump(rows, coeffs, limiting_distribution(h, psi0), times.size)
     w, v = HermitianOperator(classical_generator(ext)).spectral_decompose()
     times = np.arange(0.05, 400.0 + 0.025, 0.05)
-    _, rows, coeffs = evolution._fold(w, v, v.T @ psi0.real, times)
+    _, rows, coeffs = evolution._fold(w, v, v.T @ psi0.real, times.size)
     return evolution._lump(rows, coeffs, np.full(ext.n, 1.0 / ext.n), times.size)
 
 

@@ -15,6 +15,25 @@ def test_build_validation():
         build_topo_model("ssh2d", 1, 4, 0.1, 1.0)
 
 
+def _refuse_large_zeros(monkeypatch):
+    """Make np.zeros fail on more than 2**26 values instead of allocating them."""
+    zeros = np.zeros
+
+    def guarded(shape, *args, **kwargs):
+        if np.prod(shape, dtype=float) > 2**26:
+            raise AssertionError(f"np.zeros asked for {shape}")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", guarded)
+
+
+def test_build_refuses_an_oversized_lattice_before_allocating(monkeypatch):
+    # 1025 x 2 cells have 8,200 sites: 6.7e7 dense values, over 2**26
+    _refuse_large_zeros(monkeypatch)
+    with pytest.raises(ValueError, match="dense adjacency of 8200 vertices"):
+        build_topo_model("ssh2d", 1025, 2, 1.0, 1.0)
+
+
 def test_chiral_anticommutation_both_flavors():
     for flavor in ("ssh2d", "bbh"):
         model = build_topo_model(flavor, 4, 4, 0.3, 0.9)
@@ -75,6 +94,14 @@ def test_amcqm_rejects_shared_site():
     model = build_topo_model("bbh", 4, 4, 0.1, 1.0)
     with pytest.raises(ValueError):
         amcqm(model, initial_sites=(3, 3))
+
+
+@pytest.mark.parametrize("sites", [(-1, 143), (0, 144)], ids=["negative", "past-the-end"])
+def test_amcqm_refuses_sites_outside_the_lattice(sites):
+    # 6 x 6 cells have 144 sites; -1 would count from the end and land on 143
+    model = build_topo_model("bbh", 6, 6, 0.1, 1.0)
+    with pytest.raises(ValueError, match=r"must lie in 0\.\.143"):
+        amcqm(model, initial_sites=sites)
 
 
 def test_amcqm_dimerized_limit():
